@@ -3,6 +3,10 @@
 Accelerated proximal-gradient solver for l1/lq-regularized least squares
 with any group exponent q >= 1 (including infinity), the exact lq proximal
 operator, and safe screening rules for regularization paths.
+
+The package namespace holds the API the README documents; everything else
+is imported from its module.  The slow reference oracles live in
+:mod:`mixnorm.oracle`, which is not imported here.
 """
 
 from .errors import (
@@ -16,74 +20,11 @@ from .errors import (
     MixnormError,
     OracleSizeError,
 )
-from .model import (
-    GroupPartition,
-    GroupedVector,
-    ProblemInstance,
-    QKind,
-    classify_q,
-    dual_exponent,
-    gradient_ls,
-    group_norms,
-    lq_norm,
-    mixed_norm,
-    objective,
-)
-from .prox import (
-    ProxParams,
-    prox_all,
-    prox_general_q,
-    prox_group,
-    prox_inf,
-    soft_threshold,
-)
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    default_l0,
-    kkt_group_residuals,
-    line_search_step,
-    solve,
-)
-from .screening import (
-    DualPoint,
-    GroupBoundCache,
-    LambdaMax,
-    ScreeningBall,
-    SequentialScreenResult,
-    SequentialStep,
-    discard_from_ball,
-    dual_feasibility_scale,
-    dual_from_primal,
-    group_bound_cache,
-    hoelder_direction,
-    lambda_max,
-    screen_groups,
-    screen_sequential,
-    screening_ball,
-)
-from .path import (
-    PathResult,
-    PathSpec,
-    RecoveryReport,
-    geometric_ratios,
-    linear_ratios,
-    recovery_experiment,
-    run_path,
-    stacked_instance,
-)
-from .synth import (
-    SynthSpec,
-    equal_partition,
-    gen_joint_sparse,
-    gen_screening_instance,
-)
-from .oracle import (
-    ReferenceSolution,
-    oracle_prox_group,
-    prox_oracle_grid,
-    reference_solve,
-)
+from .model import GroupPartition, ProblemInstance
+from .path import PathResult, PathSpec, linear_ratios, run_path
+from .prox import ProxParams, prox_group
+from .screening import lambda_max
+from .solver import SolveResult, SolverConfig, solve
 
 __version__ = "0.1.0"
 
@@ -91,14 +32,10 @@ __all__ = [
     "BracketError",
     "DimensionError",
     "DivergenceError",
-    "DualPoint",
-    "GroupBoundCache",
     "GroupPartition",
-    "GroupedVector",
     "InputError",
     "InvalidExponentError",
     "InvalidParameterError",
-    "LambdaMax",
     "LineSearchError",
     "MixnormError",
     "OracleSizeError",
@@ -106,49 +43,11 @@ __all__ = [
     "PathSpec",
     "ProblemInstance",
     "ProxParams",
-    "QKind",
-    "RecoveryReport",
-    "ReferenceSolution",
-    "ScreeningBall",
-    "SequentialScreenResult",
-    "SequentialStep",
     "SolveResult",
     "SolverConfig",
-    "SynthSpec",
-    "classify_q",
-    "default_l0",
-    "discard_from_ball",
-    "dual_exponent",
-    "dual_feasibility_scale",
-    "dual_from_primal",
-    "equal_partition",
-    "gen_joint_sparse",
-    "gen_screening_instance",
-    "geometric_ratios",
-    "gradient_ls",
-    "group_bound_cache",
-    "group_norms",
-    "hoelder_direction",
-    "kkt_group_residuals",
     "lambda_max",
-    "line_search_step",
     "linear_ratios",
-    "lq_norm",
-    "mixed_norm",
-    "objective",
-    "oracle_prox_group",
-    "prox_all",
-    "prox_general_q",
     "prox_group",
-    "prox_inf",
-    "prox_oracle_grid",
-    "recovery_experiment",
-    "reference_solve",
     "run_path",
-    "screen_groups",
-    "screen_sequential",
-    "screening_ball",
-    "soft_threshold",
     "solve",
-    "stacked_instance",
 ]

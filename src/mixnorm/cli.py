@@ -22,7 +22,6 @@ import numpy as np
 from . import csvio
 from .errors import InputError, MixnormError
 from .model import ProblemInstance
-from .oracle import prox_oracle_grid, reference_solve
 from .path import (PathSpec, geometric_ratios, linear_ratios, run_path,
                    stacked_instance)
 from .prox import ProxParams, prox_group
@@ -55,19 +54,35 @@ def _parse_q(text: str) -> float:
 def _parse_ratios(text: str) -> np.ndarray:
     """Either 'r1,r2,...' or 'start:stop:count' (inclusive linear grid)."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise _UsageError("ratio range must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(start, stop, count)
-    return np.array([float(t) for t in text.split(",") if t])
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise _UsageError("ratio range must be start:stop:count")
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            return np.linspace(start, stop, count)
+        return np.array([float(t) for t in text.split(",") if t])
+    except ValueError:
+        raise _UsageError(f"cannot parse ratios {text!r}")
+
+
+def _parse_corr(text: str) -> tuple[float, float]:
+    """'lo:hi'; argparse reports the ValueError of any other shape."""
+    lo, hi = (float(x) for x in text.split(":"))
+    return lo, hi
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"could not read {path}: {exc}") from exc
 
 
 def _read_config(path: str) -> list[str]:
     """key=value lines -> injected argv chunk ['--key', 'value', ...]."""
     args: list[str] = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -100,7 +115,7 @@ def _emit(ns, summary: dict) -> None:
 def _read_text_maybe_stdin(spec: str) -> str:
     if spec == "-":
         return sys.stdin.read()
-    return Path(spec).read_text()
+    return _read_text(spec)
 
 
 def _write_text_maybe_stdout(spec: str, text: str) -> None:
@@ -115,7 +130,7 @@ def _write_text_maybe_stdout(spec: str, text: str) -> None:
 
 def _cmd_prox(ns) -> int:
     v = csvio.parse_vector_text(_read_text_maybe_stdin(ns.infile))
-    params = ProxParams(lam=ns.lam, q=ns.q, delta=ns.delta)
+    params = ProxParams(lam=ns.lam, q=ns.q)
     x = prox_group(v, params)
     _write_text_maybe_stdout(ns.out, csvio.format_vector_line(x))
     _emit(ns, {"n": int(v.size), "q": ns.q, "lambda": ns.lam,
@@ -150,8 +165,7 @@ def _cmd_screen(ns) -> int:
     inst = _load_instance(ns, ns.q)
     ratios = _parse_ratios(ns.ratios)
     lmax = lambda_max(inst).value
-    seq = screen_sequential(inst, ratios * lmax,
-                            solver_config=SolverConfig(tol=ns.tol))
+    seq = screen_sequential(inst, ratios * lmax, SolverConfig(tol=ns.tol))
     lines = ["lambda,rejection_ratio,groups_kept,screen_time,solve_time"]
     for st in seq.steps:
         lines.append(f"{st.lam:.17g},{st.rejection_ratio:.6f},{st.groups_kept},"
@@ -162,13 +176,14 @@ def _cmd_screen(ns) -> int:
     else:
         print(report)
     _emit(ns, {"lambda_max": lmax, "steps": len(seq.steps),
-               "mean_rejection": float(seq.rejection_ratios.mean())})
+               "mean_rejection": float(seq.rejection_ratios.mean()),
+               "unconverged_steps": seq.unconverged_steps})
     return 0
 
 
 def _parse_synth_file(path: str) -> tuple[str, SynthSpec]:
     kv: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -182,7 +197,10 @@ def _parse_synth_file(path: str) -> tuple[str, SynthSpec]:
                         ("sigma", float), ("num_groups", int), ("seed", int),
                         ("entry_dist", str)):
         if key in kv:
-            fields[key] = caster(kv.pop(key))
+            try:
+                fields[key] = caster(kv.pop(key))
+            except ValueError as exc:
+                raise InputError(f"bad synthetic spec value for {key}: {exc}") from exc
     if kv:
         raise InputError(f"unknown synthetic spec keys: {sorted(kv)}")
     return preset, SynthSpec(**fields)
@@ -243,7 +261,8 @@ def _cmd_path(ns) -> int:
         for i, sol in enumerate(result.solutions):
             csvio.write_vector(outdir / f"solution_{i:03d}.csv", sol)
     _emit(ns, {"points": int(result.lambdas.size), "lambda_max": result.lam_max,
-               "screening": result.screening, "wall_time": wall})
+               "screening": result.screening, "wall_time": wall,
+               "unconverged_steps": result.unconverged_steps})
     if not getattr(ns, "json", False):
         print(summary, end="")
     return 0
@@ -279,6 +298,7 @@ def _cmd_gen(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
+    from .oracle import prox_oracle_grid, reference_solve
     if ns.mode == "grid-prox":
         v = csvio.parse_vector_text(_read_text_maybe_stdin(ns.infile))
         x = prox_oracle_grid(v, ns.lam, ns.q, resolution=ns.resolution)
@@ -308,7 +328,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prox", help="apply the group prox to one vector")
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--in", dest="infile", default="-", help="input vector file or - for stdin")
     p.add_argument("--out", default="-", help="output file or - for stdout")
     _add_common(p)
@@ -367,8 +386,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dist", choices=("uniform01", "standard_normal"), default="uniform01")
     p.add_argument("--groups-n", type=int, default=20,
                    help="group count for the screening preset")
-    p.add_argument("--corr", type=lambda s: tuple(float(x) for x in s.split(":")),
-                   default=(-0.8, 0.8), help="correlation range lo:hi")
+    p.add_argument("--corr", type=_parse_corr, default=(-0.8, 0.8),
+                   help="correlation range lo:hi")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     _add_common(p)

@@ -166,23 +166,32 @@ def prox_oracle_grid(v, lam: float, q: float, resolution: float = 0.25) -> np.nd
 # oracle-local group prox (independent of mixnorm.prox)
 
 def _newton_coordinate_roots(a: np.ndarray, k: float, q: float) -> np.ndarray:
-    """Solve x + k x^(q-1) = a_i componentwise on (0, a_i), Newton with clamping."""
+    """Solve x + k x^(q-1) = a_i componentwise on (0, a_i), Newton with clamping.
+
+    Starts from min(a_i, (a_i / k)^(1/(q-1))), an upper bound on the root.
+    A coordinate stops once its residual is within a few ulps of
+    a_i + h'(x_i) x_i, the size of its rounding error, or once its bracket
+    is at float resolution.
+    """
     lo = np.zeros_like(a)
     hi = a.copy()
-    x = a / (1.0 + k)  # exact for q = 2, decent start otherwise
-    x = np.clip(x, 1e-300, hi)
+    floor = 4.0 * np.finfo(np.float64).eps
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.clip(np.minimum(a, np.power(a / k, 1.0 / (q - 1.0))), 1e-300, hi)
+        done = np.zeros(a.shape, dtype=bool)
         for _ in range(200):
             h = x + k * np.power(x, q - 1.0) - a
             neg = h < 0
             lo = np.where(neg, x, lo)
             hi = np.where(neg, hi, x)
-            if np.all(hi - lo <= 1e-15 * np.maximum(hi, 1e-300)):
-                break
             dh = 1.0 + k * (q - 1.0) * np.power(x, q - 2.0)
+            done |= ((np.abs(h) <= floor * (a + dh * x))
+                     | (hi - lo <= 1e-15 * np.maximum(hi, 1e-300)))
+            if done.all():
+                break
             xn = x - h / dh
             bad = ~((xn > lo) & (xn < hi))
-            x = np.where(bad, 0.5 * (lo + hi), xn)
+            x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), xn))
     return x
 
 

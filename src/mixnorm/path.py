@@ -1,8 +1,9 @@
 """Regularization paths and the joint-sparsity recovery experiment.
 
 A path solves the same instance at a decreasing sequence of penalties
-lam = r * lam_max, warm-starting each solve from the previous solution and
-optionally running the safe screening test before each solve.  The recovery
+lam = r * lam_max through the one driver, ``screening.screen_sequential``:
+each solve is warm-started from the previous solution, and the safe
+screening test runs before it unless screening is off.  The recovery
 experiment builds a multi-response problem (one group per predictor row),
 stacks it into an equivalent single-response instance, and traces the
 estimation error along a geometric path.
@@ -10,15 +11,14 @@ estimation error along a geometric path.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
-from .model import GroupPartition, GroupedVector, ProblemInstance
-from .screening import ZERO_GROUP_NORM, lambda_max, screen_sequential
-from .solver import SolverConfig, solve
+from .model import GroupPartition, ProblemInstance
+from .screening import ZERO_GROUP_NORM, PathResult, lambda_max, screen_sequential
+from .solver import SolverConfig
 from .synth import SynthSpec, gen_joint_sparse
 
 
@@ -39,9 +39,7 @@ class PathSpec:
     ratios: tuple[float, ...]
     screening: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
-    warm_start: bool = True
     store_solutions: bool = True
-    seed_info: int | None = None
 
     def __post_init__(self):
         r = np.asarray(self.ratios, dtype=np.float64)
@@ -54,90 +52,14 @@ class PathSpec:
         object.__setattr__(self, "ratios", tuple(float(x) for x in r))
 
 
-@dataclass
-class PathResult:
-    """Per-penalty statistics (and solutions unless disabled)."""
-
-    lambdas: np.ndarray
-    ratios: np.ndarray
-    objectives: np.ndarray
-    iterations: np.ndarray
-    groups_kept: np.ndarray
-    rejection_ratios: np.ndarray
-    solve_times: np.ndarray
-    screen_times: np.ndarray
-    solutions: list[np.ndarray] | None
-    lam_max: float
-    screening: bool
-    seed_info: int | None
-
-    @property
-    def total_solve_time(self) -> float:
-        return float(self.solve_times.sum())
-
-    @property
-    def total_screen_time(self) -> float:
-        return float(self.screen_times.sum())
-
-    @property
-    def total_time(self) -> float:
-        return self.total_solve_time + self.total_screen_time
-
-
 def run_path(inst: ProblemInstance, spec: PathSpec) -> PathResult:
     """Solve along spec.ratios * lam_max; screening per spec.screening."""
     lmax = lambda_max(inst).value
     if lmax <= 0:
         raise InvalidParameterError("lambda_max is zero; the path is trivially zero")
     ratios = np.asarray(spec.ratios)
-    lambdas = ratios * lmax
-
-    if spec.screening:
-        seq = screen_sequential(inst, lambdas, solver_config=spec.solver,
-                                warm_start=spec.warm_start)
-        steps = seq.steps
-        return PathResult(
-            lambdas=lambdas,
-            ratios=ratios.copy(),
-            objectives=np.array([st.objective for st in steps]),
-            iterations=np.array([st.iterations for st in steps]),
-            groups_kept=np.array([st.groups_kept for st in steps]),
-            rejection_ratios=np.array([st.rejection_ratio for st in steps]),
-            solve_times=np.array([st.solve_time for st in steps]),
-            screen_times=np.array([st.screen_time for st in steps]),
-            solutions=[st.solution for st in steps] if spec.store_solutions else None,
-            lam_max=lmax,
-            screening=True,
-            seed_info=spec.seed_info,
-        )
-
-    s = inst.partition.s
-    objectives, iterations, solve_times, solutions = [], [], [], []
-    groups_kept = np.full(lambdas.size, s)
-    x_prev = GroupedVector.zeros(inst.partition)
-    for lam in lambdas:
-        sub = inst.with_lam(float(lam))
-        t0 = time.perf_counter()
-        res = solve(sub, spec.solver, x0=x_prev if spec.warm_start else None)
-        solve_times.append(time.perf_counter() - t0)
-        objectives.append(float(res.f_history[-1]))
-        iterations.append(res.iterations)
-        solutions.append(res.solution.values.copy())
-        x_prev = res.solution
-    return PathResult(
-        lambdas=lambdas,
-        ratios=ratios.copy(),
-        objectives=np.asarray(objectives),
-        iterations=np.asarray(iterations),
-        groups_kept=groups_kept,
-        rejection_ratios=np.zeros(lambdas.size),
-        solve_times=np.asarray(solve_times),
-        screen_times=np.zeros(lambdas.size),
-        solutions=solutions if spec.store_solutions else None,
-        lam_max=lmax,
-        screening=False,
-        seed_info=spec.seed_info,
-    )
+    result = screen_sequential(inst, ratios * lmax, spec.solver, screening=spec.screening)
+    return replace(result, ratios=ratios, store_solutions=spec.store_solutions)
 
 
 def stacked_instance(A: np.ndarray, Y: np.ndarray, q: float, lam: float) -> ProblemInstance:
@@ -195,7 +117,6 @@ def recovery_experiment(gen_spec: SynthSpec, q: float = 2.0, num_ratios: int = 3
         ratios=tuple(geometric_ratios(num_ratios)),
         screening=screening,
         solver=solver_config or SolverConfig(),
-        seed_info=gen_spec.seed,
     )
     result = run_path(inst, spec)
     x_true_flat = X_true.ravel()

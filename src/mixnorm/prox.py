@@ -20,13 +20,17 @@ the scalar substitution c = lam * ||x||_q^(1-q):
   * c* is the unique zero of  phi(c) = lam * psi(c) - c  on [c_lo, c_hi],
     where psi(c) = (sum_i x_i(c)^q)^((1-q)/q), phi(c_lo) >= 0 >= phi(c_hi).
 
-The outer zero find is a bisection whose per-coordinate inner brackets are
-cached and shrink monotonically: x_i(c) is strictly decreasing in c, so the
-roots computed at the current bracket endpoints always sandwich the root at
-any interior c.  Inner solves are bisections safeguarded with Newton steps
-inside the live bracket.  All general-q groups of a vector are solved in one
-lock-step batch; each group freezes independently once its own stopping rule
-fires, so batched results match solo calls.
+The outer zero find keeps a bracket [c_lo, c_hi] per group and steps by
+Newton's method on phi, with the derivative taken through the coordinate
+equations; a step that leaves the bracket, or that follows a step which
+failed to halve |phi|, is replaced by bisection at the geometric
+midpoint.  The roots at the bracket ends are cached: x_i(c) is strictly
+decreasing in c, so they sandwich the root at any interior c and bracket
+the inner solves, which are Newton steps safeguarded by bisection inside
+that bracket.  All general-q groups
+of a vector are solved in one lock-step batch; each group freezes
+independently once its own stopping rule fires, so batched results match
+solo calls.
 """
 
 from __future__ import annotations
@@ -47,41 +51,23 @@ from .model import GroupPartition, GroupedVector, QKind, classify_q, dual_expone
 
 # Relative slack on the zero test lam >= ||v||_qbar; errs toward returning 0.
 ZERO_SLACK = 1e-12
-# |phi| at which the outer zero find declares victory.
-PHI_TOL = 1e-12
 _MAX_OUTER = 400
 _MAX_INNER = 80
+# Four ulps of 1.0: the rounding floor used by the stopping tests.
+_EPS4 = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Per-call parameters: positive weight lam, exponent q, bisection delta."""
+    """Per-call parameters: positive weight lam and exponent q."""
 
     lam: float
     q: float
-    delta: float = 1e-8
 
     def __post_init__(self):
         if not (isinstance(self.lam, (int, float)) and self.lam > 0 and math.isfinite(self.lam)):
             raise InvalidParameterError(f"lam must be a positive finite real, got {self.lam!r}")
         classify_q(self.q)
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise InvalidParameterError(f"delta must be positive, got {self.delta!r}")
-
-
-@dataclass
-class ZeroFindState:
-    """Live state of the batched nested zero find (one entry per group /
-    per coordinate).  Outer brackets [c_lo, c_hi] and the cached inner
-    brackets [x_lo, x_hi] all shrink monotonically across iterations;
-    x_lo holds the roots at c_hi and x_hi the roots at c_lo."""
-
-    c_lo: np.ndarray
-    c_hi: np.ndarray
-    x_lo: np.ndarray
-    x_hi: np.ndarray
-    frozen: np.ndarray
-    outer_iters: int = 0
 
 
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
@@ -121,31 +107,38 @@ def prox_inf(v: np.ndarray, lam: float) -> np.ndarray:
     return np.sign(v) * np.minimum(a, t)
 
 
-def _h_roots(v, c, q, lo, hi):
+def _h_roots(v, c, q, lo, hi, x0=None):
     """Componentwise root of h(x) = x + c x^(q-1) - v inside (lo, hi).
 
-    h is strictly increasing with h(lo) < 0 < h(hi); bisection interleaved
-    with bracket-safeguarded Newton steps, run until the brackets are at
-    relative float resolution.  Returns the refined roots; lo/hi are not
-    modified in place.
+    h is strictly increasing with h(lo) < 0 < h(hi).  Newton steps start
+    from x0 (default: (v/c)^(1/(q-1)), where c x^(q-1) alone reaches v, an
+    upper bound on the root) and fall back to bisection whenever they
+    leave the live bracket.  A coordinate stops once its
+    residual is down to the rounding error of evaluating h, or once its
+    bracket is at relative float resolution, and then stays put while the
+    others finish.  Returns the roots; lo/hi are not modified in place.
     """
     lo = lo.copy()
     hi = hi.copy()
-    x = 0.5 * (lo + hi)
     qm1 = q - 1.0
-    qm2 = q - 2.0
+    cq = c * qm1
+    done = np.zeros(v.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.clip(np.power(v / c, 1.0 / qm1) if x0 is None else x0, lo, hi)
         for _ in range(_MAX_INNER):
             h = x + c * np.power(x, qm1) - v
             neg = h < 0.0
             lo = np.where(neg, x, lo)
             hi = np.where(neg, hi, x)
-            if np.all(hi - lo <= 1e-15 * hi):
+            dh = 1.0 + cq * np.power(x, q - 2.0)
+            # the rounding floor of h: a few ulps of v, plus a few ulps of
+            # x carried along the slope dh
+            done |= (np.abs(h) <= _EPS4 * (v + dh * x)) | (hi - lo <= 1e-15 * hi)
+            if done.all():
                 break
-            dh = 1.0 + c * qm1 * np.power(x, qm2)
             xn = x - h / dh
             inside = (xn > lo) & (xn < hi)
-            x = np.where(inside, xn, 0.5 * (lo + hi))
+            x = np.where(done, x, np.where(inside, xn, 0.5 * (lo + hi)))
     return np.clip(x, lo, hi)
 
 
@@ -157,7 +150,22 @@ def _psi(x, starts, rep_sizes, q):
     return np.power(gmax, 1.0 - q) * np.power(sums, (1.0 - q) / q)
 
 
-def _general_q_batch(v, sizes, lam, q, delta):
+def _dlog_psi(x, c, starts, rep_sizes, q):
+    """Per-group d(log psi)/dc at the roots x = x(c), max-rescaled.
+
+    Differentiating x + c x^(q-1) = v gives dx/dc = -x^(q-1) / h'(x), so
+    d(log psi)/dc = (q-1) * sum(x^(2q-2) / h'(x)) / sum(x^q).
+    """
+    gmax = np.maximum.reduceat(x, starts)
+    y = x / np.repeat(gmax, rep_sizes)
+    y_qm1 = np.power(y, q - 1.0)
+    dh = 1.0 + c * (q - 1.0) * np.power(x, q - 2.0)
+    num = np.add.reduceat(y_qm1 * y_qm1 / dh, starts)
+    den = np.add.reduceat(y_qm1 * y, starts)
+    return (q - 1.0) * np.power(gmax, q - 2.0) * num / den
+
+
+def _general_q_batch(v, sizes, lam, q):
     """Solve the general-q prox for every group of the concatenated positive
     vector ``v`` (group g occupies sizes[g] consecutive entries).
 
@@ -176,14 +184,16 @@ def _general_q_batch(v, sizes, lam, q, delta):
 
     eps_c = np.repeat(eps, sizes)
     with np.errstate(over="ignore"):
-        # candidate c at each coordinate: omega_i evaluated at eps * v_i
-        ci = (1.0 - eps_c) / (np.power(eps_c, q - 1.0) * np.power(v, q - 2.0))
+        # candidate c at each coordinate: omega_i evaluated at eps * v_i;
+        # 1 - eps is taken as lam / ||v||_qbar, which does not cancel
+        ci = np.repeat(lam / gn, sizes) / (np.power(eps_c, q - 1.0) * np.power(v, q - 2.0))
     if not np.isfinite(ci).all():
         raise BracketError("outer bracket overflowed; inputs out of numerical range")
     c_lo = np.minimum.reduceat(ci, starts)
     c_hi = np.maximum.reduceat(ci, starts)
 
-    # roots at the bracket endpoints seed the inner bracket cache
+    # roots at the bracket endpoints seed the inner bracket cache:
+    # x_hi holds the roots at c_lo and x_lo the roots at c_hi
     x_hi = _h_roots(v, np.repeat(c_lo, sizes), q, np.zeros_like(v), v.copy())
     phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
     x_lo = _h_roots(v, np.repeat(c_hi, sizes), q, np.zeros_like(v), x_hi)
@@ -193,52 +203,59 @@ def _general_q_batch(v, sizes, lam, q, delta):
     if np.any(phi_lo < -guard) or np.any(phi_hi > guard):
         raise BracketError("phi lost its sign change on the initial bracket")
 
-    state = ZeroFindState(
-        c_lo=c_lo.copy(), c_hi=c_hi.copy(), x_lo=x_lo.copy(), x_hi=x_hi.copy(),
-        frozen=np.zeros(sizes.size, dtype=bool),
-    )
-    x_cur = x_hi.copy()
-
     # endpoints that already are roots, and degenerate zero-width brackets
-    width_floor = np.maximum(4.0 * np.finfo(np.float64).eps * np.abs(state.c_hi), 5e-324)
-    at_lo = phi_lo <= PHI_TOL
-    at_hi = (phi_hi >= -PHI_TOL) & ~at_lo
-    tiny = (state.c_hi - state.c_lo) <= width_floor
-    state.c_hi = np.where(at_lo, state.c_lo, state.c_hi)
-    state.c_lo = np.where(at_hi, state.c_hi, state.c_lo)
-    take_lo_root = np.repeat(at_hi, sizes)
-    x_cur = np.where(take_lo_root, x_lo, x_cur)
-    state.frozen |= at_lo | at_hi | tiny
+    at_lo = phi_lo <= 0.0
+    at_hi = (phi_hi >= 0.0) & ~at_lo
+    frozen = at_lo | at_hi | ((c_hi - c_lo) <= _width_floor(c_hi))
+    c = np.where(at_hi, c_hi, c_lo)
+    x_cur = np.where(np.repeat(at_hi, sizes), x_lo, x_hi)
 
-    while not state.frozen.all() and state.outer_iters < _MAX_OUTER:
-        state.outer_iters += 1
-        c_mid = 0.5 * (state.c_lo + state.c_hi)
-        c_rep = np.repeat(c_mid, sizes)
-        x_cur = _h_roots(v, c_rep, q, state.x_lo, state.x_hi)
-        phi = lam * _psi(x_cur, starts, sizes, q) - c_mid
+    # the first trial is the secant through the endpoints, then Newton
+    # steps on phi; a trial outside the live bracket, or one taken after a
+    # step that failed to halve |phi|, is replaced by the geometric
+    # midpoint, which also halves brackets that span many decades quickly
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_try = c_lo + phi_lo * ((c_hi - c_lo) / (phi_lo - phi_hi))
+    abs_phi_prev = np.full(sizes.size, np.inf)
+    for _ in range(_MAX_OUTER):
+        if frozen.all():
+            break
+        ok = (c_try > c_lo) & (c_try < c_hi)
+        c_try = np.where(frozen, c, np.where(ok, c_try, np.sqrt(c_lo) * np.sqrt(c_hi)))
+        c_rep = np.repeat(c_try, sizes)
+        x_try = _h_roots(v, c_rep, q, x_lo, x_hi, x0=x_cur)
+        lam_psi = lam * _psi(x_try, starts, sizes, q)
+        phi = lam_psi - c_try
 
-        live = ~state.frozen
+        live = ~frozen
         up = live & (phi > 0.0)
         dn = live & (phi < 0.0)
-        state.c_lo = np.where(up, c_mid, state.c_lo)
-        state.c_hi = np.where(dn, c_mid, state.c_hi)
-        up_c = np.repeat(up, sizes)
-        dn_c = np.repeat(dn, sizes)
-        state.x_hi = np.where(up_c, x_cur, state.x_hi)
-        state.x_lo = np.where(dn_c, x_cur, state.x_lo)
+        c_lo = np.where(up, c_try, c_lo)
+        c_hi = np.where(dn, c_try, c_hi)
+        x_hi = np.where(np.repeat(up, sizes), x_try, x_hi)
+        x_lo = np.where(np.repeat(dn, sizes), x_try, x_lo)
+        x_cur = np.where(np.repeat(live, sizes), x_try, x_cur)
+        c = np.where(live, c_try, c)
 
-        width_floor = np.maximum(4.0 * np.finfo(np.float64).eps * np.abs(state.c_hi), 5e-324)
-        done = live & (
-            (np.abs(phi) <= PHI_TOL) | ((state.c_hi - state.c_lo) <= width_floor)
-        )
-        state.c_lo = np.where(done, c_mid, state.c_lo)
-        state.c_hi = np.where(done, c_mid, state.c_hi)
-        state.frozen |= done
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = phi / (lam_psi * _dlog_psi(x_try, c_rep, starts, sizes, q) - 1.0)
+        # done once c is pinned to float resolution, by the bracket or by
+        # a Newton step that no longer moves it
+        frozen |= live & ((phi == 0.0) | ((c_hi - c_lo) <= _width_floor(c_hi))
+                          | (np.abs(step) <= _EPS4 * c_try))
+        slow = np.abs(phi) > 0.5 * abs_phi_prev
+        c_try = np.where(slow, np.nan, c_try - step)
+        abs_phi_prev = np.abs(phi)
 
     return x_cur
 
 
-def prox_general_q(v_pos, lam: float, q: float, delta: float = 1e-8):
+def _width_floor(c_hi):
+    """Outer brackets this narrow are at float resolution."""
+    return np.maximum(_EPS4 * np.abs(c_hi), 5e-324)
+
+
+def prox_general_q(v_pos, lam: float, q: float):
     """General-q prox on a strictly positive vector with lam < ||v||_qbar.
 
     Exposed separately so the nested zero-find path can be exercised
@@ -252,9 +269,7 @@ def prox_general_q(v_pos, lam: float, q: float, delta: float = 1e-8):
         raise InvalidExponentError(f"general-q solve needs 1 < q < inf, got {q!r}")
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise InvalidParameterError(f"lam must be positive, got {lam!r}")
-    if not (delta > 0):
-        raise InvalidParameterError(f"delta must be positive, got {delta!r}")
-    return _general_q_batch(v, np.array([v.size]), float(lam), float(q), float(delta))
+    return _general_q_batch(v, np.array([v.size]), float(lam), float(q))
 
 
 def outer_phi(v_pos, lam: float, q: float, c: float):
@@ -296,14 +311,12 @@ def prox_group(v, params: ProxParams) -> np.ndarray:
     nz = v != 0.0
     out = np.zeros_like(v)
     a = np.abs(v[nz])
-    out[nz] = np.sign(v[nz]) * _general_q_batch(
-        a, np.array([a.size]), params.lam, params.q, params.delta
-    )
+    out[nz] = np.sign(v[nz]) * _general_q_batch(a, np.array([a.size]), params.lam, params.q)
     return out
 
 
-def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float, q: float,
-                 delta: float) -> np.ndarray:
+def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
+                 q: float) -> np.ndarray:
     """Group-wise prox on a flat array; the solver's hot path."""
     if lam == 0.0:
         return values.copy()
@@ -338,12 +351,12 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float, q: f
     counts = np.add.reduceat(keep_c.astype(np.intp), partition.starts)
     live_sizes = counts[~zero_g & (counts > 0)]
     a = np.abs(values[keep_c])
-    x = _general_q_batch(a, live_sizes, lam, q, delta)
+    x = _general_q_batch(a, live_sizes, lam, q)
     out[keep_c] = np.sign(values[keep_c]) * x
     return out
 
 
-def prox_all(V: GroupedVector, lam: float, q: float, delta: float = 1e-8) -> GroupedVector:
+def prox_all(V: GroupedVector, lam: float, q: float) -> GroupedVector:
     """Apply the group prox to every group of a grouped vector.
 
     lam = 0 returns a copy of the input.  Input validation failures name
@@ -352,13 +365,10 @@ def prox_all(V: GroupedVector, lam: float, q: float, delta: float = 1e-8) -> Gro
     classify_q(q)
     if not (isinstance(lam, (int, float)) and lam >= 0 and math.isfinite(lam)):
         raise InvalidParameterError(f"lam must be a finite nonnegative real, got {lam!r}")
-    if not delta > 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta!r}")
     values = V.values
     bad = ~np.isfinite(values)
     if bad.any():
         j = int(np.flatnonzero(bad)[0])
         g = int(np.searchsorted(V.partition.offsets, j, side="right") - 1)
         raise InputError(f"non-finite entry in group {g}")
-    return GroupedVector(_prox_concat(values, V.partition, float(lam), float(q), float(delta)),
-                         V.partition)
+    return GroupedVector(_prox_concat(values, V.partition, float(lam), float(q)), V.partition)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InputError, InvalidParameterError
 from .model import (
     GroupPartition,
     GroupedVector,
@@ -42,7 +42,7 @@ from .model import (
     group_norms,
     lq_norm,
 )
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 _REL_SLACK = 1e-12
 
@@ -55,8 +55,13 @@ class LambdaMax(NamedTuple):
 
 
 def lambda_max(inst: ProblemInstance) -> LambdaMax:
-    """max_i ||B_i^T Y||_qbar; the solution is identically zero iff lam >= it."""
+    """max_i ||B_i^T Y||_qbar; the solution is identically zero iff lam >= it.
+
+    Raises InputError when B^T Y is not finite (non-finite B or Y).
+    """
     corr = inst.B.T @ inst.Y
+    if not np.isfinite(corr).all():
+        raise InputError("B^T Y is not finite; the design or response has non-finite entries")
     norms = group_norms(corr, inst.partition, dual_exponent(inst.q))
     g = int(np.argmax(norms))  # lowest index on ties
     return LambdaMax(float(norms[g]), g)
@@ -89,16 +94,6 @@ def dual_feasibility_scale(inst: ProblemInstance, theta: np.ndarray) -> float:
     """max(1, max_i ||B_i^T theta||_qbar); dividing theta by it lands in F."""
     norms = group_norms(inst.B.T @ theta, inst.partition, dual_exponent(inst.q))
     return max(1.0, float(norms.max()))
-
-
-def group_bound_constant(block: np.ndarray, qbar: float) -> float:
-    """Smallest T with ||block^T u||_qbar <= T ||u||_2 for all u.
-
-    Rows of block^T are the block's columns, so T is the qbar-norm of the
-    vector of column 2-norms (max column norm when qbar = inf).
-    """
-    col_norms = np.sqrt(np.sum(block * block, axis=0))
-    return lq_norm(col_norms, qbar)
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,7 @@ def hoelder_direction(u: np.ndarray, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScreeningBall:
-    """center/radius trapping theta*(lam_new); ``degenerate`` marks the
-    fallback taken when the reference direction b vanished.
+    """center/radius trapping theta*(lam_new).
 
     ``ab_inner`` records <a, b> before the nonnegative clamp.  The theory
     says it cannot be negative (up to rounding), and keeping it around lets
@@ -149,7 +143,6 @@ class ScreeningBall:
 
     center: np.ndarray
     radius: float
-    degenerate: bool = False
     ab_inner: float = 0.0
 
 
@@ -172,12 +165,11 @@ def screening_ball(inst: ProblemInstance, lam_new: float, lam_old: float,
         b = inst.Y / lam_old - theta
     bb = float(np.dot(b, b))
     if bb == 0.0:
-        return ScreeningBall(theta + a, float(np.linalg.norm(a)), degenerate=True)
+        return ScreeningBall(theta + a, float(np.linalg.norm(a)))
     ab = float(np.dot(a, b))
     coef = max(0.0, ab / bb)
     v = a - coef * b
-    return ScreeningBall(theta + v, float(np.linalg.norm(v)), degenerate=False,
-                         ab_inner=ab)
+    return ScreeningBall(theta + v, float(np.linalg.norm(v)), ab_inner=ab)
 
 
 def discard_from_ball(inst: ProblemInstance, ball: ScreeningBall,
@@ -204,43 +196,84 @@ def screen_groups(inst: ProblemInstance, lam_new: float, lam_old: float,
 
 
 # ---------------------------------------------------------------------------
-# sequential screening along a decreasing parameter sequence
+# the path driver: screen, then solve, down a decreasing parameter sequence
 
 ZERO_GROUP_NORM = 1e-6
 
 
 @dataclass
-class SequentialStep:
+class PathStep:
+    """One penalty of a path.  ``mask`` marks the discarded groups;
+    ``converged`` is the solve's flag, and True when no solve ran."""
+
     lam: float
     mask: np.ndarray
     solution: np.ndarray
     objective: float
     iterations: int
+    converged: bool
     groups_kept: int
     rejection_ratio: float
     screen_time: float
     solve_time: float
 
 
+def _per_step(attr: str, doc: str) -> property:
+    return property(lambda self: np.array([getattr(st, attr) for st in self.steps]), doc=doc)
+
+
 @dataclass
-class SequentialScreenResult:
+class PathResult:
+    """A solved path: its steps, in grid order, and per-step arrays."""
+
     lam_max: float
-    steps: list[SequentialStep] = field(default_factory=list)
+    ratios: np.ndarray
+    screening: bool
+    steps: list[PathStep] = field(default_factory=list)
+    store_solutions: bool = True
+
+    lambdas = _per_step("lam", "Penalty of each step.")
+    objectives = _per_step("objective", "Final objective of each step.")
+    iterations = _per_step("iterations", "Solver iterations (0 where no solve ran).")
+    converged = _per_step("converged", "Solver converged flag (True where no solve ran).")
+    groups_kept = _per_step("groups_kept", "Groups left after screening.")
+    rejection_ratios = _per_step("rejection_ratio", "Discarded over truly zero groups.")
+    solve_times = _per_step("solve_time", "Seconds in the solve.")
+    screen_times = _per_step("screen_time", "Seconds in the screening test.")
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([st.lam for st in self.steps])
+    def solutions(self) -> list[np.ndarray] | None:
+        """Full-length solution of each step, or None unless stored."""
+        return [st.solution for st in self.steps] if self.store_solutions else None
 
     @property
-    def rejection_ratios(self) -> np.ndarray:
-        return np.array([st.rejection_ratio for st in self.steps])
+    def unconverged_steps(self) -> int:
+        return int(np.count_nonzero(~self.converged))
+
+    @property
+    def total_solve_time(self) -> float:
+        return float(self.solve_times.sum())
+
+    @property
+    def total_screen_time(self) -> float:
+        return float(self.screen_times.sum())
+
+    @property
+    def total_time(self) -> float:
+        return self.total_solve_time + self.total_screen_time
 
 
 def reduced_instance(inst: ProblemInstance, keep: np.ndarray, lam: float
                      ) -> tuple[ProblemInstance, np.ndarray]:
-    """Sub-problem over the kept groups; also returns the column mask."""
+    """Sub-problem over the kept groups; also returns the column mask.
+
+    With every group kept the instance itself is returned at ``lam``, and
+    no column is copied.
+    """
     sizes = inst.partition.sizes_array()
     col_keep = np.repeat(keep, sizes)
+    if keep.all():
+        return inst.with_lam(lam), col_keep
     sub_part = GroupPartition(tuple(int(s) for s in sizes[keep]))
     sub = ProblemInstance(inst.B[:, col_keep], inst.Y, sub_part, inst.q, lam)
     return sub, col_keep
@@ -253,14 +286,15 @@ def _rejection_ratio(discarded: int, x_full: np.ndarray, inst: ProblemInstance) 
 
 
 def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfig | None = None,
-                      solve_fn: Callable[[ProblemInstance, GroupedVector], SolveResult] | None = None,
-                      warm_start: bool = True) -> SequentialScreenResult:
-    """Screen-then-solve down a strictly decreasing penalty sequence.
+                      screening: bool = True) -> PathResult:
+    """Screen-then-solve down a nonincreasing penalty sequence.
 
     Each step screens against the previous step's dual estimate (the very
     first against Y/lam_max), solves the reduced problem warm-started from
     the previous solution, and re-embeds zeros for the discarded groups.
-    A repeated lambda reuses the previous mask as is.
+    A step at or above lambda_max discards every group, and a repeated
+    lambda reuses the previous mask as is.  With ``screening`` off every
+    step keeps every group, so each one is a warm-started full solve.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64).ravel()
     if lambdas.size == 0 or np.any(lambdas <= 0):
@@ -268,13 +302,10 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
     if np.any(np.diff(lambdas) > 0):
         raise InvalidParameterError("lambda sequence must be nonincreasing")
     solver_config = solver_config or SolverConfig()
-    if solve_fn is None:
-        def solve_fn(sub, start):  # noqa: D401 - tiny closure
-            return solve(sub, solver_config, x0=start)
 
     lmax = lambda_max(inst)
-    cache = group_bound_cache(inst)
-    result = SequentialScreenResult(lam_max=lmax.value)
+    cache = group_bound_cache(inst) if screening else None
+    result = PathResult(lam_max=lmax.value, ratios=lambdas / lmax.value, screening=screening)
     s = inst.partition.s
     prev_lam = lmax.value
     prev_x = np.zeros(inst.p)
@@ -282,7 +313,9 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
 
     for lam in lambdas:
         t0 = time.perf_counter()
-        if lam >= lmax.value * (1.0 - _REL_SLACK):
+        if not screening:
+            mask = np.zeros(s, dtype=bool)
+        elif lam >= lmax.value * (1.0 - _REL_SLACK):
             mask = np.ones(s, dtype=bool)
         elif lam == prev_lam:
             mask = prev_mask.copy()
@@ -293,29 +326,25 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
         t_screen = time.perf_counter() - t0
 
         t0 = time.perf_counter()
+        x_full = np.zeros(inst.p)
         if mask.all():
-            x_full = np.zeros(inst.p)
             obj = 0.5 * float(np.dot(inst.Y, inst.Y))
-            iters = 0
+            iters, converged = 0, True
         else:
             sub, col_keep = reduced_instance(inst, ~mask, lam)
-            start = GroupedVector(
-                prev_x[col_keep] if warm_start else np.zeros(int(col_keep.sum())),
-                sub.partition,
-            )
-            res = solve_fn(sub, start)
-            x_full = np.zeros(inst.p)
+            res = solve(sub, solver_config, x0=GroupedVector(prev_x[col_keep], sub.partition))
             x_full[col_keep] = res.solution.values
             obj = float(res.f_history[-1])
-            iters = res.iterations
+            iters, converged = res.iterations, res.converged
         t_solve = time.perf_counter() - t0
 
-        result.steps.append(SequentialStep(
+        result.steps.append(PathStep(
             lam=float(lam),
             mask=mask,
             solution=x_full,
             objective=obj,
             iterations=iters,
+            converged=converged,
             groups_kept=int(s - mask.sum()),
             rejection_ratio=_rejection_ratio(int(mask.sum()), x_full, inst),
             screen_time=t_screen,

@@ -36,13 +36,12 @@ class SolverConfig:
     """Knobs for :func:`solve`.
 
     ``L0 = None`` picks max(1e-3, ||B^T Y||_inf / ||Y||_inf); explicit
-    values must be positive.  ``delta_prox`` is handed to the group prox.
+    values must be positive.
     """
 
     L0: float | None = None
     max_iters: int = 10000
     tol: float = 1e-8
-    delta_prox: float = 1e-8
 
     def __post_init__(self):
         if self.L0 is not None and not (self.L0 > 0 and math.isfinite(self.L0)):
@@ -51,8 +50,6 @@ class SolverConfig:
             raise InvalidParameterError("max_iters must be at least 1")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise InvalidParameterError(f"tol must be positive, got {self.tol!r}")
-        if not (self.delta_prox > 0):
-            raise InvalidParameterError("delta_prox must be positive")
 
 
 @dataclass
@@ -85,22 +82,21 @@ def _penalty(values: np.ndarray, inst: ProblemInstance) -> float:
     return float(inst.lam * group_norms(values, inst.partition, inst.q).sum())
 
 
-def line_search_step(S: GroupedVector, L_init: float, inst: ProblemInstance,
-                     config: SolverConfig | None = None) -> tuple[GroupedVector, float]:
+def line_search_step(S: GroupedVector, L_init: float,
+                     inst: ProblemInstance) -> tuple[GroupedVector, float]:
     """One prox step from S with doubling backtracking; returns (X_next, L).
 
     Standalone entry point; :func:`solve` uses the same arithmetic with
     cached matrix products.
     """
-    config = config or SolverConfig()
     s = S.values
     Bs = inst.B @ s
     g = inst.B.T @ (Bs - inst.Y)
-    x, _, L, _ = _backtrack(s, Bs, g, L_init, inst, config.delta_prox)
+    x, _, L, _ = _backtrack(s, Bs, g, L_init, inst)
     return GroupedVector(x, inst.partition), L
 
 
-def _backtrack(s, Bs, g, L, inst, delta):
+def _backtrack(s, Bs, g, L, inst):
     """Double L until the quadratic model at s dominates the loss.
 
     For the least-squares loss the acceptance test
@@ -112,7 +108,7 @@ def _backtrack(s, Bs, g, L, inst, delta):
     Returns (x_new, B @ x_new, L, gap) with gap <= 0 the acceptance margin.
     """
     while True:
-        x = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q, delta)
+        x = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q)
         d = x - s
         Bx = inst.B @ x
         bd = Bx - Bs
@@ -160,7 +156,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         Bs = Bx_cur + beta * (Bx_cur - Bx_prev)
         g = B.T @ (Bs - Y)
 
-        x_new, Bx_new, L, gap = _backtrack(s, Bs, g, L, inst, config.delta_prox)
+        x_new, Bx_new, L, gap = _backtrack(s, Bs, g, L, inst)
         max_gap = max(max_gap, gap)
         rn = Bx_new - Y
         f_new = 0.5 * float(np.dot(rn, rn)) + _penalty(x_new, inst)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,24 +114,26 @@ def test_solve_lambda_ratio_exclusive(tmp_path, rng):
     assert code == 1
 
 
-def test_screen_report(tmp_path, rng):
+def test_screen_report(tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
     report = tmp_path / "report.csv"
     code = main(["screen", *data_args(tmp_path), "--ratios", "1.0:0.25:4",
-                 "--report", str(report)])
+                 "--report", str(report), "--json"])
     assert code == 0
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "lambda,rejection_ratio,groups_kept,screen_time,solve_time"
     assert len(lines) == 5
+    assert json.loads(capsys.readouterr().out)["unconverged_steps"] == 0
 
 
-def test_path_outputs(tmp_path, rng):
+def test_path_outputs(tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
     outdir = tmp_path / "run"
     code = main(["path", *data_args(tmp_path), "--grid", "custom:0.9,0.6,0.3",
                  "--screening", "on", "--out-dir", str(outdir),
-                 "--save-solutions"])
+                 "--save-solutions", "--json"])
     assert code == 0
+    assert json.loads(capsys.readouterr().out)["unconverged_steps"] == 0
     stats = (outdir / "stats.csv").read_text().strip().splitlines()
     assert len(stats) == 4
     assert (outdir / "summary.txt").exists()
@@ -196,6 +202,42 @@ def test_exit_codes(tmp_path, capsys):
     assert "error" in err
     assert main(["--help"]) == 0
     assert main(["prox", "--help"]) == 0
+
+
+@pytest.mark.parametrize("case, want", [
+    ("screen_ratios", 1),
+    ("path_grid", 1),
+    ("synthetic_value", 2),
+    ("missing_config", 2),
+    ("gen_corr", 1),
+])
+def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
+    make_dataset(tmp_path, rng)
+    spec = tmp_path / "synth.txt"
+    spec.write_text("preset=screening\nm=abc\n")
+    argv = {
+        "screen_ratios": ["screen", *data_args(tmp_path), "--ratios", "abc"],
+        "path_grid": ["path", *data_args(tmp_path), "--grid", "custom:0.5,x",
+                      "--out-dir", str(tmp_path / "out")],
+        "synthetic_value": ["path", "--synthetic", str(spec),
+                            "--out-dir", str(tmp_path / "out")],
+        "missing_config": ["prox", "--config", str(tmp_path / "none.cfg")],
+        "gen_corr": ["gen", "--preset", "screening", "--corr", "0.5",
+                     "--out-dir", str(tmp_path / "out")],
+    }[case]
+    assert main(argv) == want
+    assert capsys.readouterr().err.startswith("usage error" if want == 1 else "error")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the oracles (and scipy with them) load only for the oracle subcommand
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, mixnorm.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_error_message_on_stderr(capsys):

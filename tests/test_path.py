@@ -3,10 +3,11 @@ import pytest
 
 from conftest import random_instance
 from mixnorm.errors import InvalidParameterError
-from mixnorm.model import GroupPartition, ProblemInstance
+from mixnorm.model import GroupPartition, GroupedVector, ProblemInstance
 from mixnorm.path import (PathSpec, geometric_ratios, linear_ratios,
                           recovery_experiment, run_path, stacked_instance)
-from mixnorm.solver import SolverConfig
+from mixnorm.screening import lambda_max
+from mixnorm.solver import SolverConfig, solve
 from mixnorm.synth import SynthSpec
 
 
@@ -61,6 +62,41 @@ def test_run_path_screening_matches_plain(rng):
     assert rel.max() <= 1e-7
     assert np.all(on.groups_kept <= inst.partition.s)
     assert np.all(off.rejection_ratios == 0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0])
+def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
+    # screening off is the driver with nothing discarded: the same solves,
+    # bit for bit, as a plain warm-started loop, the ratio-1.0 point included
+    inst = random_instance(rng, 16, 24, q).with_lam(0.0)
+    ratios = (1.0, 0.8, 0.6, 0.4)
+    config = SolverConfig(tol=1e-9)
+    out = run_path(inst, PathSpec(ratios=ratios, solver=config))
+    lmax = lambda_max(inst).value
+    x = GroupedVector.zeros(inst.partition)
+    for i, r in enumerate(ratios):
+        res = solve(inst.with_lam(r * lmax), config, x0=x)
+        x = res.solution
+        assert out.iterations[i] == res.iterations
+        assert out.objectives[i] == res.f_history[-1]
+        assert np.array_equal(out.solutions[i], res.solution.values)
+    assert out.iterations[0] > 0
+    assert np.all(out.groups_kept == inst.partition.s)
+    assert np.all(out.rejection_ratios == 0.0)
+    assert np.array_equal(out.ratios, ratios)
+
+
+def test_path_steps_report_convergence(rng):
+    inst = random_instance(rng, 16, 24, 2.0).with_lam(0.0)
+    ratios = (1.0, 0.5, 0.3)
+    capped = run_path(inst, PathSpec(ratios=ratios, screening=True,
+                                     solver=SolverConfig(max_iters=2)))
+    # the ratio-1.0 point is screened out entirely: no solve, nothing unconverged
+    assert capped.iterations[0] == 0 and capped.converged[0]
+    assert not capped.converged[1:].any()
+    assert capped.unconverged_steps == 2
+    done = run_path(inst, PathSpec(ratios=ratios, solver=SolverConfig(tol=1e-10)))
+    assert done.converged.all() and done.unconverged_steps == 0
 
 
 def test_run_path_no_solutions_stored(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from mixnorm.errors import InvalidParameterError
+from mixnorm.errors import InputError, InvalidParameterError
 from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
                            dual_exponent, group_norms, lq_norm)
 from mixnorm.screening import (DualPoint, dual_feasibility_scale,
@@ -28,6 +28,15 @@ def test_lambda_max_matches_manual(rng):
     assert lmax.value == pytest.approx(want, rel=1e-12)
     got_g = lq_norm(inst.block(lmax.group).T @ inst.Y, inst.qbar)
     assert got_g == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lambda_max_rejects_non_finite_design(bad, rng):
+    inst = random_instance(rng, 8, 10, 2.0)
+    B = inst.B.copy()
+    B[3, 4] = bad
+    with pytest.raises(InputError):
+        lambda_max(ProblemInstance(B, inst.Y, inst.partition, 2.0, 0.0))
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, np.inf])
@@ -203,6 +212,9 @@ def test_reduced_instance_solves_like_full(rng):
         SolverConfig(tol=1e-12),
     )
     assert res.f_history[-1] == pytest.approx(direct.f_history[-1], rel=1e-10)
+    # keeping every group copies nothing: the instance itself at the new lam
+    whole, col_all = reduced_instance(inst, np.ones(inst.partition.s, dtype=bool), 0.5)
+    assert whole.B is inst.B and whole.lam == 0.5 and col_all.all()
 
 
 def test_sequential_all_discarded_objective(rng):
