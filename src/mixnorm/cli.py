@@ -72,6 +72,22 @@ def _parse_corr(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _attach_corr_value(argv: list[str]) -> list[str]:
+    """Rewrite '--corr -0.5:0.5' as '--corr=-0.5:0.5'.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    number for an option, so a range with a negative lower end needs the
+    attached spelling.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--corr" and arg.startswith("-"):
+            out[-1] = f"--corr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
@@ -276,7 +292,7 @@ def _cmd_gen(ns) -> int:
                           entry_dist=ns.dist, seed=ns.seed)
         A, X_true, Y = gen_joint_sparse(sspec)
         inst = stacked_instance(A, Y, 2.0, 0.0)
-        csvio.write_matrix(outdir / "B.csv", inst.B)
+        csvio.write_matrix(outdir / "B.csv", inst.B.toarray())
         csvio.write_vector(outdir / "Y.csv", inst.Y)
         csvio.write_group_sizes(outdir / "groups.txt", inst.partition)
         csvio.write_matrix(outdir / "X_true.csv", X_true)
@@ -438,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise _UsageError("--config needs a file argument")
             injected = _read_config(argv[i + 1])
             argv = argv[:1] + injected + argv[1:]
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_corr_value(argv))
         cap = _thread_cap()
         try:
             return ns.func(ns)

@@ -7,8 +7,9 @@ A problem instance is the regularized least-squares program
 where ``W`` splits into ``s`` contiguous, non-overlapping groups ``w_i`` and
 ``q >= 1`` (q = inf allowed).  This module holds the group layout
 (:class:`GroupPartition`), the vector-with-layout pair
-(:class:`GroupedVector`), the immutable :class:`ProblemInstance`, and the
-norm / objective / gradient helpers everything else is built on.
+(:class:`GroupedVector`), the immutable :class:`ProblemInstance`, the
+matrix-free multi-response design (:class:`StackedDesign`) with its layout,
+and the norm / objective / gradient helpers everything else is built on.
 
 All numerical work is float64.
 """
@@ -188,22 +189,97 @@ def mixed_norm(W: GroupedVector, q: float) -> float:
     return float(group_norms(W.values, W.partition, q).sum())
 
 
+class StackedDesign:
+    """The design of a k-response problem, kept as its m x d matrix A.
+
+    The multi-response program
+
+        min_W  0.5 * ||Y - A W||_F^2  +  lam * sum_i ||row_i(W)||_q
+
+    is a grouped single-response program in the stacked layout
+    w = W.ravel() (group i, of size k, is row i of W) and y = Y.T.ravel()
+    (response t fills rows t*m .. t*m + m - 1).  Its (m*k) x (d*k) design
+    has entry A[j, i] at (t*m + j, i*k + t) for every t and zeros elsewhere,
+    k^2 times the memory of A; this class never builds it.  It offers what
+    the package uses: ``B @ w``, ``B.T @ r``, column norms and the selection
+    of groups.
+    """
+
+    ndim = 2
+
+    def __init__(self, A: np.ndarray, k: int):
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        if A.ndim != 2 or k < 1:
+            raise DimensionError(f"need a 2-d A and k >= 1, got shape {A.shape} and k={k}")
+        self.A, self.k = A, int(k)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        m, d = self.A.shape
+        return m * self.k, d * self.k
+
+    @property
+    def nbytes(self) -> int:
+        return self.A.nbytes
+
+    @property
+    def T(self) -> "_StackedTranspose":
+        return _StackedTranspose(self)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """B @ w = (A @ W).T.ravel() with W the d x k matrix of w."""
+        return (self.A @ np.reshape(w, (self.A.shape[1], self.k))).T.ravel()
+
+    def column_norms(self) -> np.ndarray:
+        """Column (i, t) of B holds column i of A and zeros."""
+        return np.repeat(np.sqrt(np.sum(self.A * self.A, axis=0)), self.k)
+
+    def select_groups(self, keep: np.ndarray) -> "StackedDesign":
+        """The design of the kept groups (a boolean mask or indices over A's columns)."""
+        return StackedDesign(self.A[:, keep], self.k)
+
+    def block(self, i: int) -> "StackedDesign":
+        return self.select_groups(slice(i, i + 1))
+
+    def toarray(self) -> np.ndarray:
+        """The dense (m*k) x (d*k) matrix, for writing it out."""
+        m = self.A.shape[0]
+        B = np.zeros(self.shape)
+        for t in range(self.k):
+            B[t * m:(t + 1) * m, t::self.k] = self.A
+        return B
+
+
+class _StackedTranspose:
+    """``B.T`` of a :class:`StackedDesign`; it only multiplies vectors."""
+
+    def __init__(self, design: StackedDesign):
+        self.A, self.k = design.A, design.k
+
+    def __matmul__(self, r: np.ndarray) -> np.ndarray:
+        """B.T @ r = (A.T @ R).ravel() with R the m x k matrix of r."""
+        return (self.A.T @ np.reshape(r, (self.k, self.A.shape[0])).T).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Immutable problem data: design B (m x p), response Y (m), layout, q, lam.
 
+    B is a dense array, or a :class:`StackedDesign` for multi-response data.
     Only GroupedVector payloads are mutable in this package; instances are
     shared freely across path steps via :func:`dataclasses.replace`.
     """
 
-    B: np.ndarray
+    B: np.ndarray | StackedDesign
     Y: np.ndarray
     partition: GroupPartition
     q: float
     lam: float
 
     def __post_init__(self):
-        B = np.ascontiguousarray(self.B, dtype=np.float64)
+        B = self.B
+        if not isinstance(B, StackedDesign):
+            B = np.ascontiguousarray(B, dtype=np.float64)
         Y = np.ascontiguousarray(self.Y, dtype=np.float64).ravel()
         if B.ndim != 2:
             raise DimensionError(f"design matrix must be 2-d, got shape {B.shape}")
@@ -236,12 +312,38 @@ class ProblemInstance:
     def qbar(self) -> float:
         return dual_exponent(self.q)
 
-    def block(self, i: int) -> np.ndarray:
-        """Columns of B belonging to group i (a view)."""
+    def block(self, i: int) -> np.ndarray | StackedDesign:
+        """Columns of B belonging to group i (a view of a dense B)."""
+        if isinstance(self.B, StackedDesign):
+            return self.B.block(i)
         return self.B[:, self.partition.slice(i)]
+
+    def column_norms(self) -> np.ndarray:
+        """Euclidean norm of every column of B."""
+        if isinstance(self.B, StackedDesign):
+            return self.B.column_norms()
+        return np.sqrt(np.sum(self.B * self.B, axis=0))
+
+    def select_groups(self, keep: np.ndarray) -> np.ndarray | StackedDesign:
+        """The columns of B in the groups where the boolean ``keep`` is True."""
+        if isinstance(self.B, StackedDesign):
+            return self.B.select_groups(keep)
+        return self.B[:, np.repeat(keep, self.partition.sizes_array())]
 
     def with_lam(self, lam: float) -> "ProblemInstance":
         return replace(self, lam=lam)
+
+
+def stacked_instance(A: np.ndarray, Y: np.ndarray, q: float, lam: float) -> ProblemInstance:
+    """Single-response form of the multi-response problem with design A and
+    responses Y (m x k, or length m for k = 1), on a :class:`StackedDesign`."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.ndim != 2:
+        raise DimensionError(f"responses must be 1-d or 2-d, got shape {Y.shape}")
+    B = StackedDesign(A, Y.shape[1])
+    return ProblemInstance(B, Y.T.ravel(), GroupPartition((B.k,) * B.A.shape[1]), q, lam)
 
 
 def _check_compatible(inst: ProblemInstance, W: GroupedVector) -> np.ndarray:

@@ -5,8 +5,11 @@ lam = r * lam_max through the one driver, ``screening.screen_sequential``:
 each solve is warm-started from the previous solution, and the safe
 screening test runs before it unless screening is off.  The recovery
 experiment builds a multi-response problem (one group per predictor row),
-stacks it into an equivalent single-response instance, and traces the
-estimation error along a geometric path.
+poses it as a single-response instance with ``stacked_instance`` and
+traces the estimation error along a geometric path.  That instance keeps
+the m x d design A and never forms the (m*k) x (d*k) stacked matrix: its
+``B`` is a ``model.StackedDesign`` that multiplies through A on the d x k
+coefficient matrix, and path solutions are in its layout, W.ravel().
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, InvalidParameterError
-from .model import GroupPartition, ProblemInstance
+from .errors import InvalidParameterError
+from .model import ProblemInstance, stacked_instance
 from .screening import ZERO_GROUP_NORM, PathResult, lambda_max, screen_sequential
 from .solver import SolverConfig
 from .synth import SynthSpec, gen_joint_sparse
@@ -60,28 +63,6 @@ def run_path(inst: ProblemInstance, spec: PathSpec) -> PathResult:
     ratios = np.asarray(spec.ratios)
     result = screen_sequential(inst, ratios * lmax, spec.solver, screening=spec.screening)
     return replace(result, ratios=ratios, store_solutions=spec.store_solutions)
-
-
-def stacked_instance(A: np.ndarray, Y: np.ndarray, q: float, lam: float) -> ProblemInstance:
-    """Single-response equivalent of the multi-response problem.
-
-    min 0.5 ||A W - Y||_F^2 + lam sum_i ||row_i(W)||_q becomes a grouped
-    vector problem: w concatenates the rows of W, the design places A once
-    per response column, and group i (size k) holds row i of W.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    m, d = A.shape
-    if Y.shape[0] != m:
-        raise DimensionError("response row count does not match the design")
-    k = Y.shape[1]
-    B = np.zeros((m * k, d * k))
-    for t in range(k):
-        B[t * m:(t + 1) * m, t::k] = A
-    part = GroupPartition((k,) * d)
-    return ProblemInstance(B, Y.T.ravel(), part, q, lam)
 
 
 @dataclass

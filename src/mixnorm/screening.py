@@ -104,8 +104,8 @@ class GroupBoundCache:
 
 
 def group_bound_cache(inst: ProblemInstance) -> GroupBoundCache:
-    col_norms = np.sqrt(np.sum(inst.B * inst.B, axis=0))
-    return GroupBoundCache(group_norms(col_norms, inst.partition, dual_exponent(inst.q)))
+    return GroupBoundCache(group_norms(inst.column_norms(), inst.partition,
+                                       dual_exponent(inst.q)))
 
 
 def hoelder_direction(u: np.ndarray, q: float) -> np.ndarray:
@@ -268,14 +268,15 @@ def reduced_instance(inst: ProblemInstance, keep: np.ndarray, lam: float
     """Sub-problem over the kept groups; also returns the column mask.
 
     With every group kept the instance itself is returned at ``lam``, and
-    no column is copied.
+    no column is copied.  A multi-response design copies only the kept
+    columns of its A.
     """
     sizes = inst.partition.sizes_array()
     col_keep = np.repeat(keep, sizes)
     if keep.all():
         return inst.with_lam(lam), col_keep
     sub_part = GroupPartition(tuple(int(s) for s in sizes[keep]))
-    sub = ProblemInstance(inst.B[:, col_keep], inst.Y, sub_part, inst.q, lam)
+    sub = ProblemInstance(inst.select_groups(keep), inst.Y, sub_part, inst.q, lam)
     return sub, col_keep
 
 
@@ -293,8 +294,10 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
     first against Y/lam_max), solves the reduced problem warm-started from
     the previous solution, and re-embeds zeros for the discarded groups.
     A step at or above lambda_max discards every group, and a repeated
-    lambda reuses the previous mask as is.  With ``screening`` off every
-    step keeps every group, so each one is a warm-started full solve.
+    lambda reuses the previous mask as is.  The ball assumes the previous
+    solve reached its optimum, so a step after an unconverged solve
+    discards nothing.  With ``screening`` off every step keeps every group,
+    so each one is a warm-started full solve.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64).ravel()
     if lambdas.size == 0 or np.any(lambdas <= 0):
@@ -310,6 +313,7 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
     prev_lam = lmax.value
     prev_x = np.zeros(inst.p)
     prev_mask = np.ones(s, dtype=bool)
+    prev_converged = True
 
     for lam in lambdas:
         t0 = time.perf_counter()
@@ -317,6 +321,8 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
             mask = np.zeros(s, dtype=bool)
         elif lam >= lmax.value * (1.0 - _REL_SLACK):
             mask = np.ones(s, dtype=bool)
+        elif not prev_converged:
+            mask = np.zeros(s, dtype=bool)
         elif lam == prev_lam:
             mask = prev_mask.copy()
         else:
@@ -352,5 +358,5 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
         ))
         # a step at or above lambda_max has theta* = Y/lam_max; store that pair
         prev_lam = min(float(lam), lmax.value)
-        prev_x, prev_mask = x_full, mask
+        prev_x, prev_mask, prev_converged = x_full, mask, converged
     return result

@@ -157,6 +157,52 @@ def test_gen_then_solve(tmp_path, capsys):
     assert csvio.read_matrix(outdir / "X_true.csv").shape == (15, 3)
 
 
+def test_gen_joint_sparse_paths_agree(tmp_path, capsys):
+    # gen writes the dense stacked design; path reads it back as a plain
+    # matrix, while path --synthetic builds the matrix-free form
+    from mixnorm.synth import SynthSpec, gen_joint_sparse
+    outdir = tmp_path / "data"
+    code = main(["gen", "--preset", "joint-sparse", "--m", "12", "--d", "15",
+                 "--k", "3", "--dtilde", "4", "--seed", "3", "--out-dir", str(outdir)])
+    assert code == 0
+    A, _, Y = gen_joint_sparse(SynthSpec(m=12, d=15, k=3, d_tilde=4, seed=3))
+    B = csvio.read_matrix(outdir / "B.csv")
+    assert B.shape == (36, 45)
+    for t in range(3):
+        assert np.array_equal(B[12 * t:12 * (t + 1), t::3], A)
+    assert np.count_nonzero(B) == np.count_nonzero(A) * 3
+    assert np.array_equal(csvio.read_vector(outdir / "Y.csv"), Y.T.ravel())
+    spec = tmp_path / "synth.txt"
+    spec.write_text("preset=joint-sparse\nm=12\nd=15\nk=3\nd_tilde=4\nseed=3\n")
+    path_args = ["--q", "1.5", "--grid", "custom:1.0,0.8,0.6,0.4", "--screening", "on",
+                 "--tol", "1e-12", "--json"]
+    capsys.readouterr()
+    runs = {}
+    for name, src in (("matrix", data_args(outdir)), ("synthetic", ["--synthetic", str(spec)])):
+        code = main(["path", *src, *path_args, "--out-dir", str(tmp_path / name)])
+        assert code == 0
+        runs[name] = (json.loads(capsys.readouterr().out),
+                      np.loadtxt(tmp_path / name / "stats.csv", delimiter=",", skiprows=1))
+    (info_m, stats_m), (info_s, stats_s) = runs["matrix"], runs["synthetic"]
+    assert info_m["lambda_max"] == pytest.approx(info_s["lambda_max"], rel=1e-10)
+    assert np.allclose(stats_m[:, 2], stats_s[:, 2], rtol=1e-10, atol=0.0)
+
+
+def test_gen_corr_accepts_negative_range(tmp_path):
+    # a value that starts with '-' works separate from --corr and attached to it
+    base = ["gen", "--preset", "screening", "--m", "10", "--d", "12", "--groups-n", "3"]
+    written = {}
+    for name, corr in (("default", []), ("spaced", ["--corr", "-0.8:0.8"]),
+                       ("attached", ["--corr=-0.8:0.8"]),
+                       ("narrow", ["--corr", "-0.5:0.5"]),
+                       ("narrow_attached", ["--corr=-0.5:0.5"])):
+        outdir = tmp_path / name
+        assert main([*base, *corr, "--out-dir", str(outdir)]) == 0
+        written[name] = (outdir / "B.csv").read_bytes()
+    assert written["spaced"] == written["default"] == written["attached"]
+    assert written["narrow"] == written["narrow_attached"] != written["default"]
+
+
 def test_gen_screening_preset(tmp_path):
     outdir = tmp_path / "scr"
     code = main(["gen", "--preset", "screening", "--m", "15", "--d", "30",

@@ -8,7 +8,7 @@ from mixnorm.path import (PathSpec, geometric_ratios, linear_ratios,
                           recovery_experiment, run_path, stacked_instance)
 from mixnorm.screening import lambda_max
 from mixnorm.solver import SolverConfig, solve
-from mixnorm.synth import SynthSpec
+from mixnorm.synth import SynthSpec, gen_joint_sparse
 
 
 def test_linear_ratios_grid():
@@ -99,6 +99,23 @@ def test_path_steps_report_convergence(rng):
     assert done.converged.all() and done.unconverged_steps == 0
 
 
+def test_step_after_unconverged_solve_discards_nothing(rng):
+    # the screening ball assumes the previous solve reached its optimum
+    inst = random_instance(rng, 16, 24, 2.0).with_lam(0.0)
+    s = inst.partition.s
+    ratios = (1.0, 0.9, 0.8, 0.7, 0.6)
+    capped = run_path(inst, PathSpec(ratios=ratios, screening=True,
+                                     solver=SolverConfig(max_iters=1)))
+    assert capped.groups_kept[0] == 0 and capped.converged[0]
+    assert not capped.converged[1:].any()
+    assert np.all(capped.groups_kept[2:] == s)
+    # a converged path still discards groups after its solved steps
+    done = run_path(inst, PathSpec(ratios=ratios, screening=True,
+                                   solver=SolverConfig(tol=1e-12)))
+    assert done.converged.all()
+    assert np.all(done.groups_kept[2:] < s)
+
+
 def test_run_path_no_solutions_stored(rng):
     inst = random_instance(rng, 12, 16, 2.0).with_lam(0.0)
     out = run_path(inst, PathSpec(ratios=(0.9, 0.5), store_solutions=False))
@@ -112,12 +129,24 @@ def test_run_path_rejects_zero_response():
         run_path(inst, PathSpec(ratios=(0.5,)))
 
 
+def kron_stacked(A, k):
+    """The dense stacked design, entry A[j, i] at (t*m + j, i*k + t)."""
+    m, d = A.shape
+    B = np.zeros((m * k, d * k))
+    for t in range(k):
+        for i in range(d):
+            B[t * m:(t + 1) * m, i * k + t] = A[:, i]
+    return B
+
+
 def test_stacked_instance_layout(rng):
     m, d, k = 6, 5, 3
     A = rng.standard_normal((m, d))
     Y = rng.standard_normal((m, k))
     inst = stacked_instance(A, Y, 2.0, 0.3)
-    assert inst.B.shape == (m * k, d * k)
+    dense = kron_stacked(A, k)
+    assert inst.B.shape == dense.shape == (m * k, d * k)
+    assert inst.B.nbytes == A.nbytes
     assert inst.Y.shape == (m * k,)
     assert inst.partition.s == d
     assert set(inst.partition.sizes) == {k}
@@ -125,9 +154,58 @@ def test_stacked_instance_layout(rng):
     X = rng.standard_normal((d, k))
     w = X.ravel()
     assert np.allclose(inst.B @ w, (A @ X).T.ravel())
+    assert np.allclose(inst.B @ w, dense @ w, rtol=1e-14, atol=1e-14)
+    r = rng.standard_normal(m * k)
+    assert np.allclose(inst.B.T @ r, dense.T @ r, rtol=1e-14, atol=1e-14)
+    assert np.allclose(inst.column_norms(), np.linalg.norm(dense, axis=0), rtol=1e-14)
     assert np.allclose(inst.Y, Y.T.ravel())
     # row i of X is group i of w
     assert np.allclose(w[inst.partition.slice(2)], X[2])
+    # selecting groups keeps the columns of those groups, in order
+    keep = np.array([True, False, True, True, False])
+    sub = inst.select_groups(keep)
+    col_keep = np.repeat(keep, k)
+    assert np.array_equal(sub.toarray(), dense[:, col_keep])
+    v = rng.standard_normal(int(col_keep.sum()))
+    assert np.allclose(sub @ v, dense[:, col_keep] @ v, rtol=1e-14, atol=1e-14)
+    assert np.allclose(sub.T @ r, dense[:, col_keep].T @ r, rtol=1e-14, atol=1e-14)
+    for i in range(d):
+        blk = inst.block(i)
+        assert blk.shape == (m * k, k)
+        assert np.array_equal(blk.toarray(), dense[:, inst.partition.slice(i)])
+        assert np.allclose(blk.T @ r, dense[:, inst.partition.slice(i)].T @ r,
+                           rtol=1e-14, atol=1e-14)
+    assert np.array_equal(inst.B.toarray(), dense)
+
+
+def test_stacked_instance_at_synth_defaults_stores_only_A():
+    # the stacked matrix would be (100*50) x (200*50) doubles: 400 MB
+    A, _, Y = gen_joint_sparse(SynthSpec())
+    inst = stacked_instance(A, Y, 2.0, 0.0)
+    assert inst.B.shape == (5000, 10000)
+    assert inst.B.nbytes == A.nbytes == 160_000
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0])
+def test_screened_recovery_matches_dense_stacking(q):
+    # the matrix-free design takes the same solver and screening decisions
+    # as the dense stacked matrix it stands for
+    spec = SynthSpec(m=30, d=40, k=5, d_tilde=5, sigma=0.1, seed=3)
+    config = SolverConfig(tol=1e-7)
+    A, X_true, Y = gen_joint_sparse(spec)
+    free = stacked_instance(A, Y, q, 0.0)
+    dense = ProblemInstance(kron_stacked(A, spec.k), Y.T.ravel(), free.partition, q, 0.0)
+    path_spec = PathSpec(ratios=tuple(geometric_ratios(20)), screening=True, solver=config)
+    got, want = run_path(free, path_spec), run_path(dense, path_spec)
+    assert np.array_equal(got.iterations, want.iterations)
+    assert np.array_equal(got.groups_kept, want.groups_kept)
+    assert 0 < got.groups_kept[-1] < spec.d
+    for x, y in zip(got.solutions, want.solutions):
+        assert np.abs(x - y).max() <= 1e-12
+    assert got.lam_max == pytest.approx(want.lam_max, rel=1e-12)
+    rep = recovery_experiment(spec, q=q, num_ratios=20, solver_config=config, screening=True)
+    errors = [np.linalg.norm(x - X_true.ravel()) for x in want.solutions]
+    assert np.allclose(rep.frob_errors, errors, rtol=1e-12, atol=1e-12)
 
 
 def test_stacked_instance_rejects_mismatch(rng):
