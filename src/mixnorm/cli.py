@@ -3,16 +3,13 @@
 Subcommands: prox, solve, screen, path, gen, oracle.  Exit codes: 0 on
 success, 1 on usage errors, 2 on numerical or validation errors.  Every
 subcommand takes ``--config FILE`` (key=value lines injected as defaults)
-and ``--json`` (machine-readable summary on stdout).  The environment
-variable MIXNORM_THREADS caps the BLAS thread pools when threadpoolctl is
-available.
+and ``--json`` (machine-readable summary on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -427,21 +424,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _thread_cap():
-    raw = os.environ.get("MIXNORM_THREADS")
-    if not raw:
-        return None
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits(limits=n)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -455,12 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             injected = _read_config(argv[i + 1])
             argv = argv[:1] + injected + argv[1:]
         ns = parser.parse_args(_attach_corr_value(argv))
-        cap = _thread_cap()
-        try:
-            return ns.func(ns)
-        finally:
-            if cap is not None:
-                cap.unregister()
+        return ns.func(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,10 +10,12 @@ exponent), it inherits the signs of v, and on the support it satisfies
 
     x + lam * ||x||_q^(1-q) * x^(q-1) = v      (componentwise, x > 0)
 
-after reducing to positive v.  q = 1 (soft threshold), q = 2 (norm
-shrinkage) and q = inf (clip at the l1-ball projection threshold) have
-closed forms.  For general finite q the optimality system is solved through
-the scalar substitution c = lam * ||x||_q^(1-q):
+after reducing to positive v.  ``_prox_concat`` takes every group of a flat
+vector at once; ``prox_group`` is its one-group case.  q = 1 (soft
+threshold), q = 2 (norm shrinkage) and q = inf (clip at the l1-ball
+projection threshold, one segmented sort over all groups) have closed forms.
+For general finite q the optimality system is solved through the scalar
+substitution c = lam * ||x||_q^(1-q):
 
   * for fixed c, each coordinate solves  h(x) = x + c x^(q-1) - v_i = 0,
     which has a unique root in (0, v_i);
@@ -84,27 +86,41 @@ def _validate_group_input(v) -> np.ndarray:
     return v
 
 
-def prox_inf(v: np.ndarray, lam: float) -> np.ndarray:
-    """Prox of lam * ||.||_inf for 0 < lam < ||v||_1.
+def _inf_clip(values, sizes, lam):
+    """Prox of lam * ||.||_inf on every group of the flat ``values`` (group g
+    occupies sizes[g] entries), given lam < ||v_g||_1 for all g.
 
-    The answer clips |v| at the threshold t* solving
-    sum_i max(|v_i| - t, 0) = lam, i.e. v minus its Euclidean projection
-    onto the l1 ball of radius lam.  t* is found exactly from the sorted
-    breakpoints, no iteration.
+    Group g is clipped at the t_g solving sum_i max(|v_i| - t, 0) = lam
+    (Duchi et al. 2008; Condat 2016).  One lexsort puts every group in
+    descending |v| order; j_g, the number of entries above t_g, counts the
+    j with |v|_(j) * j > cs_j - lam (at least 1: lam can be below the
+    rounding of the top entry), and t_g = (top-j_g sum - lam) / j_g.  The
+    cumsum cs runs through all groups, so it is taken over |v| / ||v_g||_1,
+    where each group adds about 1, and the top-j_g sum within the group.
     """
+    a = np.abs(values)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    asort = a[np.lexsort((-a, np.repeat(np.arange(sizes.size), sizes)))]
+    l1 = np.repeat(np.add.reduceat(asort, starts), sizes)
+    rank = np.arange(1, a.size + 1) - np.repeat(starts, sizes)
+    y = asort / l1
+    cs = np.cumsum(y)
+    cs -= np.repeat(np.concatenate(([0.0], cs[starts[1:] - 1])), sizes)
+    jstar = np.maximum(np.add.reduceat(y * rank > cs - lam / l1, starts), 1)
+    top = np.add.reduceat(np.where(rank <= np.repeat(jstar, sizes), asort, 0.0), starts)
+    return np.sign(values) * np.minimum(a, np.repeat((top - lam) / jstar, sizes))
+
+
+def prox_inf(v: np.ndarray, lam: float) -> np.ndarray:
+    """Prox of lam * ||.||_inf for 0 < lam < ||v||_1: v minus its Euclidean
+    projection onto the l1 ball of radius lam, the one-group case of
+    ``_inf_clip``."""
     v = _validate_group_input(v)
     if not lam > 0:
         raise InvalidParameterError(f"lam must be positive, got {lam!r}")
-    a = np.abs(v)
-    if lam >= a.sum():
+    if lam >= np.abs(v).sum():
         raise InvalidParameterError("prox_inf requires lam < ||v||_1; caller handles the zero case")
-    asort = np.sort(a)[::-1]
-    cs = np.cumsum(asort)
-    j = np.arange(1, a.size + 1)
-    # number of entries strictly above t*: the largest j with asort[j-1] > (cs[j-1]-lam)/j
-    jstar = int(np.count_nonzero(asort * j > cs - lam))
-    t = (cs[jstar - 1] - lam) / jstar
-    return np.sign(v) * np.minimum(a, t)
+    return _inf_clip(v, np.array([v.size]), lam)
 
 
 def _h_roots(v, c, q, lo, hi, x0=None):
@@ -173,7 +189,6 @@ def _general_q_batch(v, sizes, lam, q):
     finite, and lam < ||v_g||_qbar for every group g.  Returns the positive
     minimizers, concatenated the same way.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     qbar = q / (q - 1.0)
 
@@ -183,14 +198,19 @@ def _general_q_batch(v, sizes, lam, q):
         raise InvalidParameterError("general-q solve requires lam < ||v||_qbar for every group")
 
     eps_c = np.repeat(eps, sizes)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         # candidate c at each coordinate: omega_i evaluated at eps * v_i;
         # 1 - eps is taken as lam / ||v||_qbar, which does not cancel
         ci = np.repeat(lam / gn, sizes) / (np.power(eps_c, q - 1.0) * np.power(v, q - 2.0))
-    if not np.isfinite(ci).all():
-        raise BracketError("outer bracket overflowed; inputs out of numerical range")
+        # at large q a tiny coordinate's candidate overflows.  Then cap c_hi
+        # by c* = lam ||x*||_q^(1-q), since ||x*||_q >= n^-max(0, 1-2/q)
+        # ||x*||_qbar and ||x*||_qbar >= ||v||_qbar - ||v - x*||_qbar = eps gn
+        c_cap = lam * np.power(eps * gn * np.power(sizes, -max(0.0, 1.0 - 2.0 / q)), 1.0 - q)
     c_lo = np.minimum.reduceat(ci, starts)
     c_hi = np.maximum.reduceat(ci, starts)
+    c_hi = np.where(np.isfinite(c_hi), c_hi, c_cap)
+    if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
+        raise BracketError("outer bracket overflowed; inputs out of numerical range")
 
     # roots at the bracket endpoints seed the inner bracket cache:
     # x_hi holds the roots at c_lo and x_lo the roots at c_hi
@@ -284,8 +304,6 @@ def outer_phi(v_pos, lam: float, q: float, c: float):
         raise InputError("outer_phi expects strictly positive entries")
     if c < 0:
         raise InvalidParameterError("c must be nonnegative")
-    if c == 0.0:
-        return float(lam * lq_norm(v, q) ** (1.0 - q))
     x = _h_roots(v, np.full_like(v, c), q, np.zeros_like(v), v.copy())
     return float(lam * lq_norm(x, q) ** (1.0 - q) - c)
 
@@ -294,36 +312,22 @@ def prox_group(v, params: ProxParams) -> np.ndarray:
     """Prox of lam * ||.||_q for one group; handles every q >= 1.
 
     Returns exact zero when lam >= ||v||_qbar (up to a relative slack of
-    1e-12 that errs toward zero), otherwise dispatches on the exponent tag.
+    1e-12 that errs toward zero).  This is the one-group case of the
+    whole-vector kernel.
     """
     v = _validate_group_input(v)
-    kind = classify_q(params.q)
-    qbar = dual_exponent(params.q)
-    if params.lam >= lq_norm(v, qbar) * (1.0 - ZERO_SLACK):
-        return np.zeros_like(v)
-    if kind is QKind.ONE:
-        return soft_threshold(v, params.lam)
-    if kind is QKind.TWO:
-        n2 = lq_norm(v, 2.0)
-        return ((n2 - params.lam) / n2) * v
-    if kind is QKind.INF:
-        return prox_inf(v, params.lam)
-    nz = v != 0.0
-    out = np.zeros_like(v)
-    a = np.abs(v[nz])
-    out[nz] = np.sign(v[nz]) * _general_q_batch(a, np.array([a.size]), params.lam, params.q)
-    return out
+    return _prox_concat(v, GroupPartition((v.size,)), params.lam, params.q)
 
 
 def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
                  q: float) -> np.ndarray:
-    """Group-wise prox on a flat array; the solver's hot path."""
+    """Group-wise prox on a flat array; the solver's hot path and the one
+    place that dispatches on the exponent."""
     if lam == 0.0:
         return values.copy()
     kind = classify_q(q)
-    qbar = dual_exponent(q)
     sizes = partition.sizes_array()
-    gn = group_norms(values, partition, qbar)
+    gn = group_norms(values, partition, dual_exponent(q))
     zero_g = lam >= gn * (1.0 - ZERO_SLACK)
     zero_c = np.repeat(zero_g, sizes)
 
@@ -335,24 +339,19 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
         denom = np.where(gn > 0.0, gn, 1.0)
         factor = np.where(zero_g, 0.0, (gn - lam) / denom)
         return values * np.repeat(factor, sizes)
-    if kind is QKind.INF:
-        out = np.zeros_like(values)
-        for i in range(partition.s):
-            if zero_g[i]:
-                continue
-            sl = partition.slice(i)
-            out[sl] = prox_inf(values[sl], lam)
-        return out
-
+    # q = inf and general q solve the live groups only, with their zero
+    # entries stripped: a zero entry stays zero at every q
     out = np.zeros_like(values)
     keep_c = ~zero_c & (values != 0.0)
     if not keep_c.any():
         return out
     counts = np.add.reduceat(keep_c.astype(np.intp), partition.starts)
-    live_sizes = counts[~zero_g & (counts > 0)]
-    a = np.abs(values[keep_c])
-    x = _general_q_batch(a, live_sizes, lam, q)
-    out[keep_c] = np.sign(values[keep_c]) * x
+    live_sizes = counts[~zero_g]
+    kept = values[keep_c]
+    if kind is QKind.INF:
+        out[keep_c] = _inf_clip(kept, live_sizes, lam)
+    else:
+        out[keep_c] = np.sign(kept) * _general_q_batch(np.abs(kept), live_sizes, lam, q)
     return out
 
 

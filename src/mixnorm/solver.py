@@ -207,9 +207,6 @@ def kkt_group_residuals(inst: ProblemInstance, W: GroupedVector,
     u_norms = group_norms(u, inst.partition, qbar)
     w_norms = group_norms(w, inst.partition, inst.q)
     res = np.maximum(u_norms - 1.0, 0.0)
-    for i in range(inst.partition.s):
-        if w_norms[i] > active_threshold:
-            sl = inst.partition.slice(i)
-            pairing = 1.0 - float(np.dot(u[sl], w[sl])) / w_norms[i]
-            res[i] = max(res[i], pairing, 0.0)
-    return res
+    active = w_norms > active_threshold
+    pairing = 1.0 - np.add.reduceat(u * w, inst.partition.starts) / np.where(active, w_norms, 1.0)
+    return np.where(active, np.maximum(res, pairing), res)

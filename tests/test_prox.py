@@ -61,6 +61,23 @@ def test_prox_inf_ties():
     assert np.allclose(x, [1.5, 1.5, 1.5])
 
 
+@pytest.mark.filterwarnings("error")
+def test_prox_inf_lam_below_rounding_of_top_entry():
+    # 1e20 - 1 rounds to 1e20, so no sorted prefix passes the threshold
+    # test; the top entry alone is clipped, by less than its rounding
+    x = prox_inf(np.array([1e20, 1.0]), 1.0)
+    assert np.array_equal(x, [1e20, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_prox_all_inf_group_below_rounding_between_groups():
+    # the middle group's cumsum must not leak into its neighbours' thresholds
+    part = GroupPartition((2, 2, 2))
+    v = GroupedVector(np.array([3.0, 1.0, 1e20, 1.0, -2.0, 0.5]), part)
+    out = prox_all(v, 1.0, np.inf)
+    assert np.array_equal(out.values, [2.0, 1.0, 1e20, 1.0, -1.0, 0.5])
+
+
 def test_single_coordinate_any_q_is_soft_threshold():
     # with one coordinate the penalty is lam*|x| regardless of q
     for q in (1.0, 1.5, 2.0, 7.0, np.inf):
@@ -139,6 +156,17 @@ def test_general_q_optimality_across_scales(q, rng):
         lam = rng.uniform(0.05, 0.95) * lq_norm(v, dual_exponent(q))
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("slack", [1e-6, 1e-9, 1e-11])
+def test_general_q_large_q_tiny_coordinate(slack):
+    # eps^(q-1) * v^(q-2) underflows at the tiny coordinate, so its bracket
+    # candidate for c is not a float
+    v = np.array([0.18, 6.7e-12])
+    q = 20.0
+    lam = lq_norm(v, dual_exponent(q)) * (1 - slack)
+    x = prox_group(v, ProxParams(lam=lam, q=q))
+    assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
 
 
 def test_sign_and_magnitude_structure(rng):
@@ -251,6 +279,49 @@ def test_prox_all_batched_matches_solo_general_q(rng):
     for i in range(part.s):
         solo = prox_group(v.group(i).copy(), ProxParams(lam=lam, q=q))
         assert np.allclose(out.group(i), solo, atol=1e-10)
+
+
+def _prox_inf_per_group(values, partition, lam):
+    """The per-group loop the batched q = inf kernel replaced: zero test,
+    then one sort and cumsum per live group."""
+    out = np.zeros_like(values)
+    for i in range(partition.s):
+        a = np.abs(values[partition.slice(i)])
+        if lam >= a.sum() * (1.0 - 1e-12):
+            continue
+        asort = np.sort(a)[::-1]
+        cs = np.cumsum(asort)
+        jstar = int(np.count_nonzero(asort * np.arange(1, a.size + 1) > cs - lam))
+        t = (cs[jstar - 1] - lam) / jstar
+        out[partition.slice(i)] = np.sign(values[partition.slice(i)]) * np.minimum(a, t)
+    return out
+
+
+def test_prox_all_inf_matches_per_group_loop_and_oracle(rng):
+    from mixnorm.oracle import oracle_prox_group
+
+    eps = np.finfo(np.float64).eps
+    lam = 1.0
+    for _ in range(60):
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 25)))
+        part = GroupPartition(tuple(int(n) for n in sizes))
+        v = rng.standard_normal(part.p) * np.repeat(10.0 ** rng.uniform(-3, 3, part.s), sizes)
+        v[rng.random(part.p) < 0.2] = 0.0                        # zero entries
+        pick = [part.slice(int(i)) for i in rng.integers(part.s, size=4)]
+        v[pick[0]] = rng.choice([-0.75, 0.75], v[pick[0]].size)  # ties
+        v[pick[1]] *= lam / max(np.abs(v[pick[1]]).sum(), 1e-300)  # ||v_g||_1 = lam
+        v[pick[2]] = 0.0                                         # a fully zeroed group
+        v[pick[3]][:2] = [2.0, -1.0][:v[pick[3]].size]           # an entry at t = 1
+        got = prox_all(GroupedVector(v, part), lam, np.inf).values
+        want = _prox_inf_per_group(v, part, lam)
+        # both sum at most n entries of the group, each rounding by eps * ||v_g||_1
+        tol = np.repeat(4 * sizes * eps * group_norms(v, part, 1.0), sizes)
+        assert np.all(np.abs(got - want) <= tol)
+        for i in range(part.s):
+            sl = part.slice(i)
+            # brentq's xtol is 1e-14, on top of the rounding above
+            assert np.allclose(got[sl], oracle_prox_group(v[sl], lam, np.inf), rtol=0,
+                               atol=1e-14 + 4 * sizes[i] * eps * np.abs(v[sl]).sum())
 
 
 def test_prox_all_zero_lambda_is_identity(rng):
