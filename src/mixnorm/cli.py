@@ -18,7 +18,7 @@ import numpy as np
 
 from . import csvio
 from .errors import InputError, MixnormError
-from .model import ProblemInstance
+from .model import ProblemInstance, group_norms
 from .path import (PathSpec, geometric_ratios, linear_ratios, run_path,
                    stacked_instance)
 from .prox import ProxParams, prox_group
@@ -92,18 +92,23 @@ def _read_text(path) -> str:
         raise InputError(f"could not read {path}: {exc}") from exc
 
 
-def _read_config(path: str) -> list[str]:
-    """key=value lines -> injected argv chunk ['--key', 'value', ...]."""
-    args: list[str] = []
+def _read_key_values(path: str, what: str) -> list[tuple[str, str]]:
+    """(key, value) pairs of a key=value file, skipping blank and # lines."""
+    pairs: list[tuple[str, str]] = []
     for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InputError(f"bad config line (want key=value): {raw!r}")
+            raise InputError(f"bad {what} line (want key=value): {raw!r}")
         key, val = line.split("=", 1)
-        args.extend([f"--{key.strip()}", val.strip()])
-    return args
+        pairs.append((key.strip(), val.strip()))
+    return pairs
+
+
+def _read_config(path: str) -> list[str]:
+    """key=value lines -> injected argv chunk ['--key', 'value', ...]."""
+    return [arg for key, val in _read_key_values(path, "config") for arg in (f"--{key}", val)]
 
 
 def _load_instance(ns, q: float, lam: float = 0.0) -> ProblemInstance:
@@ -161,7 +166,6 @@ def _cmd_solve(ns) -> int:
         csvio.write_vector(ns.out, res.solution.values)
     if ns.history:
         csvio.write_vector(ns.history, res.f_history)
-    from .model import group_norms  # local alias for the summary only
     nnz = int(np.count_nonzero(group_norms(res.solution.values, inst.partition, inst.q) > 1e-10))
     _emit(ns, {
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
@@ -195,15 +199,7 @@ def _cmd_screen(ns) -> int:
 
 
 def _parse_synth_file(path: str) -> tuple[str, SynthSpec]:
-    kv: dict[str, str] = {}
-    for raw in _read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"bad synthetic spec line: {raw!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
+    kv = dict(_read_key_values(path, "synthetic spec"))
     preset = kv.pop("preset", "screening")
     fields = {}
     for key, caster in (("m", int), ("d", int), ("k", int), ("d_tilde", int),
@@ -289,20 +285,18 @@ def _cmd_gen(ns) -> int:
                           entry_dist=ns.dist, seed=ns.seed)
         A, X_true, Y = gen_joint_sparse(sspec)
         inst = stacked_instance(A, Y, 2.0, 0.0)
-        csvio.write_matrix(outdir / "B.csv", inst.B.toarray())
-        csvio.write_vector(outdir / "Y.csv", inst.Y)
-        csvio.write_group_sizes(outdir / "groups.txt", inst.partition)
+        B = inst.B.toarray()
         csvio.write_matrix(outdir / "X_true.csv", X_true)
-        shape = {"m": inst.m, "p": inst.p, "groups": inst.partition.s}
     else:
         # the screening design ignores d_tilde; clamp it so small --d works
         sspec = SynthSpec(m=ns.m, d=ns.d, d_tilde=min(ns.dtilde, ns.d),
                           num_groups=ns.groups_n, seed=ns.seed, corr_range=ns.corr)
         inst = gen_screening_instance(sspec)
-        csvio.write_matrix(outdir / "B.csv", inst.B)
-        csvio.write_vector(outdir / "Y.csv", inst.Y)
-        csvio.write_group_sizes(outdir / "groups.txt", inst.partition)
-        shape = {"m": inst.m, "p": inst.p, "groups": inst.partition.s}
+        B = inst.B
+    csvio.write_matrix(outdir / "B.csv", B)
+    csvio.write_vector(outdir / "Y.csv", inst.Y)
+    csvio.write_group_sizes(outdir / "groups.txt", inst.partition)
+    shape = {"m": inst.m, "p": inst.p, "groups": inst.partition.s}
     _emit(ns, {"preset": ns.preset, "seed": ns.seed, **shape})
     if not getattr(ns, "json", False):
         print(f"wrote {ns.preset} data to {outdir} ({shape['m']}x{shape['p']}, "

@@ -130,8 +130,12 @@ class GroupPartition:
         """Group start indices, the reduceat index array."""
         return self.offsets[:-1]
 
+    @cached_property
     def sizes_array(self) -> np.ndarray:
-        return np.asarray(self.sizes, dtype=np.intp)
+        """``sizes`` as a read-only index array."""
+        sizes = np.asarray(self.sizes, dtype=np.intp)
+        sizes.flags.writeable = False
+        return sizes
 
 
 @dataclass
@@ -179,7 +183,7 @@ def group_norms(values: np.ndarray, partition: GroupPartition, q: float) -> np.n
         return np.maximum.reduceat(a, starts)
     gmax = np.maximum.reduceat(a, starts)
     scale = np.where(gmax > 0.0, gmax, 1.0)
-    scaled = a / np.repeat(scale, partition.sizes_array())
+    scaled = a / np.repeat(scale, partition.sizes_array)
     sums = np.add.reduceat(np.power(scaled, q), starts)
     return gmax * np.power(sums, 1.0 / q)
 
@@ -328,7 +332,7 @@ class ProblemInstance:
         """The columns of B in the groups where the boolean ``keep`` is True."""
         if isinstance(self.B, StackedDesign):
             return self.B.select_groups(keep)
-        return self.B[:, np.repeat(keep, self.partition.sizes_array())]
+        return self.B[:, np.repeat(keep, self.partition.sizes_array)]
 
     def with_lam(self, lam: float) -> "ProblemInstance":
         return replace(self, lam=lam)

@@ -129,10 +129,12 @@ def _h_roots(v, c, q, lo, hi, x0=None):
     h is strictly increasing with h(lo) < 0 < h(hi).  Newton steps start
     from x0 (default: (v/c)^(1/(q-1)), where c x^(q-1) alone reaches v, an
     upper bound on the root) and fall back to bisection whenever they
-    leave the live bracket.  A coordinate stops once its
-    residual is down to the rounding error of evaluating h, or once its
-    bracket is at relative float resolution, and then stays put while the
-    others finish.  Returns the roots; lo/hi are not modified in place.
+    leave the live bracket, at the geometric midpoint when the bracket
+    spans more than three decades (a tiny coordinate's root can lie ~30
+    decades below it).  A coordinate stops once its residual is down to the
+    rounding error of evaluating h, or once its bracket is at relative
+    float resolution, and then stays put while the others finish.  Returns
+    the roots; lo/hi are not modified in place.
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -153,8 +155,12 @@ def _h_roots(v, c, q, lo, hi, x0=None):
             if done.all():
                 break
             xn = x - h / dh
-            inside = (xn > lo) & (xn < hi)
-            x = np.where(done, x, np.where(inside, xn, 0.5 * (lo + hi)))
+            x = np.where(done, x, xn)
+            bis = ~(done | ((xn > lo) & (xn < hi)))
+            if bis.any():
+                lb, hb = lo[bis], hi[bis]
+                geo = (lb > 0.0) & (hb > 1e3 * lb)
+                x[bis] = np.where(geo, np.sqrt(lb) * np.sqrt(hb), 0.5 * (lb + hb))
     return np.clip(x, lo, hi)
 
 
@@ -326,7 +332,7 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     if lam == 0.0:
         return values.copy()
     kind = classify_q(q)
-    sizes = partition.sizes_array()
+    sizes = partition.sizes_array
     gn = group_norms(values, partition, dual_exponent(q))
     zero_g = lam >= gn * (1.0 - ZERO_SLACK)
     zero_c = np.repeat(zero_g, sizes)

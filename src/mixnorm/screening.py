@@ -96,16 +96,9 @@ def dual_feasibility_scale(inst: ProblemInstance, theta: np.ndarray) -> float:
     return max(1.0, float(norms.max()))
 
 
-@dataclass(frozen=True)
-class GroupBoundCache:
-    """Per-group operator-bound constants, computed once per instance."""
-
-    T: np.ndarray
-
-
-def group_bound_cache(inst: ProblemInstance) -> GroupBoundCache:
-    return GroupBoundCache(group_norms(inst.column_norms(), inst.partition,
-                                       dual_exponent(inst.q)))
+def group_bound_cache(inst: ProblemInstance) -> np.ndarray:
+    """Per-group operator bounds T_i, ||B_i^T u||_qbar <= T_i ||u||_2."""
+    return group_norms(inst.column_norms(), inst.partition, dual_exponent(inst.q))
 
 
 def hoelder_direction(u: np.ndarray, q: float) -> np.ndarray:
@@ -172,27 +165,22 @@ def screening_ball(inst: ProblemInstance, lam_new: float, lam_old: float,
     return ScreeningBall(theta + v, float(np.linalg.norm(v)), ab_inner=ab)
 
 
-def discard_from_ball(inst: ProblemInstance, ball: ScreeningBall,
-                      cache: GroupBoundCache | None = None) -> np.ndarray:
-    """Boolean mask, True where the ball test certifies the group is zero."""
-    cache = cache or group_bound_cache(inst)
-    norms = group_norms(inst.B.T @ ball.center, inst.partition, dual_exponent(inst.q))
-    return norms < 1.0 - cache.T * ball.radius
-
-
 def screen_groups(inst: ProblemInstance, lam_new: float, lam_old: float,
-                  theta_old: DualPoint, cache: GroupBoundCache | None = None) -> np.ndarray:
-    """Safe discard mask for lam_new given the dual estimate at lam_old.
-
-    lam_new at or above lambda_max discards everything outright.
-    """
+                  theta_old: DualPoint, T: np.ndarray | None = None,
+                  lmax: LambdaMax | None = None) -> np.ndarray:
+    """Safe discard mask for lam_new given the dual estimate at lam_old:
+    True where the ball test certifies the group is zero, everywhere when
+    lam_new is at or above lambda_max.  ``T`` (``group_bound_cache``) and
+    ``lmax`` are computed when not given."""
     if lam_new <= 0:
         raise InvalidParameterError("lam_new must be positive")
-    lmax = lambda_max(inst)
+    lmax = lmax or lambda_max(inst)
     if lam_new >= lmax.value * (1.0 - _REL_SLACK):
         return np.ones(inst.partition.s, dtype=bool)
     ball = screening_ball(inst, lam_new, lam_old, theta_old, lmax)
-    return discard_from_ball(inst, ball, cache)
+    T = group_bound_cache(inst) if T is None else T
+    norms = group_norms(inst.B.T @ ball.center, inst.partition, dual_exponent(inst.q))
+    return norms < 1.0 - T * ball.radius
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +259,7 @@ def reduced_instance(inst: ProblemInstance, keep: np.ndarray, lam: float
     no column is copied.  A multi-response design copies only the kept
     columns of its A.
     """
-    sizes = inst.partition.sizes_array()
+    sizes = inst.partition.sizes_array
     col_keep = np.repeat(keep, sizes)
     if keep.all():
         return inst.with_lam(lam), col_keep
@@ -290,9 +278,10 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
                       screening: bool = True) -> PathResult:
     """Screen-then-solve down a nonincreasing penalty sequence.
 
-    Each step screens against the previous step's dual estimate (the very
-    first against Y/lam_max), solves the reduced problem warm-started from
-    the previous solution, and re-embeds zeros for the discarded groups.
+    Each step screens through ``screen_groups`` against the previous
+    step's dual estimate (the very first against Y/lam_max), solves the
+    reduced problem warm-started from the previous solution, and re-embeds
+    zeros for the discarded groups.
     A step at or above lambda_max discards every group, and a repeated
     lambda reuses the previous mask as is.  The ball assumes the previous
     solve reached its optimum, so a step after an unconverged solve
@@ -307,7 +296,7 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
     solver_config = solver_config or SolverConfig()
 
     lmax = lambda_max(inst)
-    cache = group_bound_cache(inst) if screening else None
+    T = group_bound_cache(inst) if screening else None
     result = PathResult(lam_max=lmax.value, ratios=lambdas / lmax.value, screening=screening)
     s = inst.partition.s
     prev_lam = lmax.value
@@ -317,18 +306,13 @@ def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfi
 
     for lam in lambdas:
         t0 = time.perf_counter()
-        if not screening:
-            mask = np.zeros(s, dtype=bool)
-        elif lam >= lmax.value * (1.0 - _REL_SLACK):
-            mask = np.ones(s, dtype=bool)
-        elif not prev_converged:
+        if not screening or not prev_converged:
             mask = np.zeros(s, dtype=bool)
         elif lam == prev_lam:
             mask = prev_mask.copy()
         else:
             theta = DualPoint((inst.Y - inst.B @ prev_x) / prev_lam, prev_lam)
-            ball = screening_ball(inst, lam, prev_lam, theta, lmax)
-            mask = discard_from_ball(inst, ball, cache)
+            mask = screen_groups(inst, lam, prev_lam, theta, T, lmax)
         t_screen = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -54,20 +54,13 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Final iterate plus convergence bookkeeping.
-
-    ``max_model_gap`` is the largest accepted value of
-    l(X_next) - [l(S) + <grad, d> + L/2 ||d||^2]; the line search accepts
-    only nonpositive values, so this certifies the model inequality held at
-    every step.
-    """
+    """Final iterate plus convergence bookkeeping."""
 
     solution: GroupedVector
     f_history: np.ndarray
     iterations: int
     converged: bool
     L_final: float
-    max_model_gap: float
 
 
 def default_l0(inst: ProblemInstance) -> float:
@@ -82,20 +75,6 @@ def _penalty(values: np.ndarray, inst: ProblemInstance) -> float:
     return float(inst.lam * group_norms(values, inst.partition, inst.q).sum())
 
 
-def line_search_step(S: GroupedVector, L_init: float,
-                     inst: ProblemInstance) -> tuple[GroupedVector, float]:
-    """One prox step from S with doubling backtracking; returns (X_next, L).
-
-    Standalone entry point; :func:`solve` uses the same arithmetic with
-    cached matrix products.
-    """
-    s = S.values
-    Bs = inst.B @ s
-    g = inst.B.T @ (Bs - inst.Y)
-    x, _, L, _ = _backtrack(s, Bs, g, L_init, inst)
-    return GroupedVector(x, inst.partition), L
-
-
 def _backtrack(s, Bs, g, L, inst):
     """Double L until the quadratic model at s dominates the loss.
 
@@ -105,17 +84,15 @@ def _backtrack(s, Bs, g, L, inst):
     the expanded form cancels to roundoff noise near convergence, where a
     spurious failure would double L forever.  The collapsed test accepts as
     soon as L reaches ||B||_2^2, so the cap only guards non-finite data.
-    Returns (x_new, B @ x_new, L, gap) with gap <= 0 the acceptance margin.
+    Returns (x_new, B @ x_new, L).
     """
     while True:
         x = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q)
         d = x - s
         Bx = inst.B @ x
         bd = Bx - Bs
-        lhs = float(np.dot(bd, bd))
-        rhs = L * float(np.dot(d, d))
-        if lhs <= rhs:
-            return x, Bx, L, 0.5 * (lhs - rhs)
+        if float(np.dot(bd, bd)) <= L * float(np.dot(d, d)):
+            return x, Bx, L
         L *= 2.0
         if L > _L_CAP:
             raise LineSearchError(f"step-size search exceeded L = {_L_CAP:g}")
@@ -146,18 +123,15 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
 
     L = config.L0 if config.L0 is not None else default_l0(inst)
     alpha_prev, alpha_cur = 0.0, 1.0
-    max_gap = -math.inf
     converged = False
     stall = 0
-    it = 0
     for it in range(1, config.max_iters + 1):
         beta = (alpha_prev - 1.0) / alpha_cur
         s = x_cur + beta * (x_cur - x_prev)
         Bs = Bx_cur + beta * (Bx_cur - Bx_prev)
         g = B.T @ (Bs - Y)
 
-        x_new, Bx_new, L, gap = _backtrack(s, Bs, g, L, inst)
-        max_gap = max(max_gap, gap)
+        x_new, Bx_new, L = _backtrack(s, Bs, g, L, inst)
         rn = Bx_new - Y
         f_new = 0.5 * float(np.dot(rn, rn)) + _penalty(x_new, inst)
         if not math.isfinite(f_new):
@@ -175,7 +149,6 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
             stall += 1
             if stall >= 3:
                 converged = True
-                f_cur = f_new
                 break
         else:
             stall = 0
@@ -187,7 +160,6 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         iterations=it,
         converged=converged,
         L_final=L,
-        max_model_gap=(max_gap if max_gap > -math.inf else 0.0),
     )
 
 

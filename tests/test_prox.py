@@ -169,6 +169,17 @@ def test_general_q_large_q_tiny_coordinate(slack):
     assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
 
 
+def test_general_q_small_q_roots_decades_below_coordinates():
+    # near the zero threshold the inner roots of the small coordinates lie
+    # ~30 decades below them, which halving the bracket cannot cross
+    v = np.array([0.005488511997968033, 5.611866965683302e-12, -2.5831796844280752e-09,
+                  1.600619452387541e-07, -0.0001147281030040366])
+    q = 1.2
+    lam = lq_norm(v, dual_exponent(q)) * (1 - 2.5e-12)
+    x = prox_group(v, ProxParams(lam=lam, q=q))
+    assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+
+
 def test_sign_and_magnitude_structure(rng):
     # prox preserves signs and never exceeds |v| coordinatewise
     for q in (1.4, 3.0):

@@ -6,10 +6,9 @@ from mixnorm.errors import InputError, InvalidParameterError
 from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
                            dual_exponent, group_norms, lq_norm)
 from mixnorm.screening import (DualPoint, dual_feasibility_scale,
-                               dual_from_primal, discard_from_ball,
-                               group_bound_cache, hoelder_direction,
-                               lambda_max, reduced_instance, screen_groups,
-                               screen_sequential, screening_ball)
+                               dual_from_primal, group_bound_cache,
+                               hoelder_direction, lambda_max, reduced_instance,
+                               screen_groups, screen_sequential, screening_ball)
 from mixnorm.solver import SolverConfig, solve
 
 
@@ -82,7 +81,7 @@ def test_group_bound_cache_matches_loop(rng):
     cache = group_bound_cache(inst)
     for i in range(inst.partition.s):
         cols = np.linalg.norm(inst.block(i), axis=0)
-        assert cache.T[i] == pytest.approx(lq_norm(cols, inst.qbar), rel=1e-12)
+        assert cache[i] == pytest.approx(lq_norm(cols, inst.qbar), rel=1e-12)
 
 
 def test_group_bound_is_lipschitz_constant(rng):
@@ -95,7 +94,7 @@ def test_group_bound_is_lipschitz_constant(rng):
         for i in range(inst.partition.s):
             na = lq_norm(inst.block(i).T @ a, inst.qbar)
             nb = lq_norm(inst.block(i).T @ b, inst.qbar)
-            assert abs(na - nb) <= cache.T[i] * np.linalg.norm(a - b) + 1e-10
+            assert abs(na - nb) <= cache[i] * np.linalg.norm(a - b) + 1e-10
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, np.inf])
