@@ -9,7 +9,7 @@ where ``W`` splits into ``s`` contiguous, non-overlapping groups ``w_i`` and
 (:class:`GroupPartition`), the vector-with-layout pair
 (:class:`GroupedVector`), the immutable :class:`ProblemInstance`, the
 matrix-free multi-response design (:class:`StackedDesign`) with its layout,
-and the norm / objective / gradient helpers everything else is built on.
+and the norm / objective helpers everything else is built on.
 
 All numerical work is float64.
 """
@@ -24,6 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, InputError, InvalidExponentError, InvalidParameterError
+
+# a group whose lq norm is at most this counts as zero
+ZERO_GROUP_NORM = 1e-6
 
 
 class QKind(Enum):
@@ -157,15 +160,8 @@ class GroupedVector:
                 f"total {self.partition.p}"
             )
 
-    @classmethod
-    def zeros(cls, partition: GroupPartition) -> "GroupedVector":
-        return cls(np.zeros(partition.p), partition)
-
     def group(self, i: int) -> np.ndarray:
         return self.values[self.partition.slice(i)]
-
-    def copy(self) -> "GroupedVector":
-        return GroupedVector(self.values.copy(), self.partition)
 
 
 def group_norms(values: np.ndarray, partition: GroupPartition, q: float) -> np.ndarray:
@@ -312,10 +308,6 @@ class ProblemInstance:
     def p(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def qbar(self) -> float:
-        return dual_exponent(self.q)
-
     def block(self, i: int) -> np.ndarray | StackedDesign:
         """Columns of B belonging to group i (a view of a dense B)."""
         if isinstance(self.B, StackedDesign):
@@ -350,22 +342,12 @@ def stacked_instance(A: np.ndarray, Y: np.ndarray, q: float, lam: float) -> Prob
     return ProblemInstance(B, Y.T.ravel(), GroupPartition((B.k,) * B.A.shape[1]), q, lam)
 
 
-def _check_compatible(inst: ProblemInstance, W: GroupedVector) -> np.ndarray:
-    if W.partition.sizes != inst.partition.sizes:
-        raise DimensionError("vector group layout does not match the instance")
-    return W.values
-
-
 def objective(inst: ProblemInstance, W: GroupedVector) -> float:
     """0.5 * ||Y - B w||_2^2 + lam * mixed_norm(w)."""
-    w = _check_compatible(inst, W)
+    if W.partition.sizes != inst.partition.sizes:
+        raise DimensionError("vector group layout does not match the instance")
+    w = W.values
     if not np.isfinite(w).all():
         raise InputError("objective evaluated at a non-finite point")
     r = inst.Y - inst.B @ w
     return float(0.5 * np.dot(r, r) + inst.lam * mixed_norm(W, inst.q))
-
-
-def gradient_ls(inst: ProblemInstance, W: GroupedVector) -> GroupedVector:
-    """Gradient of the smooth least-squares half: B^T (B w - Y)."""
-    w = _check_compatible(inst, W)
-    return GroupedVector(inst.B.T @ (inst.B @ w - inst.Y), inst.partition)

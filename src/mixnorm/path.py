@@ -14,13 +14,13 @@ coefficient matrix, and path solutions are in its layout, W.ravel().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import ProblemInstance, stacked_instance
-from .screening import ZERO_GROUP_NORM, PathResult, lambda_max, screen_sequential
+from .model import ZERO_GROUP_NORM, ProblemInstance, stacked_instance
+from .screening import PathResult, screen_sequential
 from .solver import SolverConfig
 from .synth import SynthSpec, gen_joint_sparse
 
@@ -57,12 +57,9 @@ class PathSpec:
 
 def run_path(inst: ProblemInstance, spec: PathSpec) -> PathResult:
     """Solve along spec.ratios * lam_max; screening per spec.screening."""
-    lmax = lambda_max(inst).value
-    if lmax <= 0:
-        raise InvalidParameterError("lambda_max is zero; the path is trivially zero")
-    ratios = np.asarray(spec.ratios)
-    result = screen_sequential(inst, ratios * lmax, spec.solver, screening=spec.screening)
-    return replace(result, ratios=ratios, store_solutions=spec.store_solutions)
+    result = screen_sequential(inst, spec.ratios, spec.solver, screening=spec.screening)
+    result.store_solutions = spec.store_solutions
+    return result
 
 
 @dataclass

@@ -49,7 +49,7 @@ from .errors import (
     InvalidExponentError,
     InvalidParameterError,
 )
-from .model import GroupPartition, GroupedVector, QKind, classify_q, dual_exponent, group_norms, lq_norm
+from .model import GroupPartition, GroupedVector, QKind, classify_q, dual_exponent, group_norms
 
 # Relative slack on the zero test lam >= ||v||_qbar; errs toward returning 0.
 ZERO_SLACK = 1e-12
@@ -296,22 +296,6 @@ def prox_general_q(v_pos, lam: float, q: float):
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise InvalidParameterError(f"lam must be positive, got {lam!r}")
     return _general_q_batch(v, np.array([v.size]), float(lam), float(q))
-
-
-def outer_phi(v_pos, lam: float, q: float, c: float):
-    """phi(c) = lam * psi(c) - c for a single positive group; test hook.
-
-    psi(c) = ||x(c)||_q^(1-q) where x(c) solves the coordinate equations
-    x + c x^(q-1) = v.  phi(0) = lam * ||v||_q^(1-q) > 0 and phi has a
-    unique zero at the prox solution's scalar c*.
-    """
-    v = _validate_group_input(v_pos)
-    if np.any(v <= 0.0):
-        raise InputError("outer_phi expects strictly positive entries")
-    if c < 0:
-        raise InvalidParameterError("c must be nonnegative")
-    x = _h_roots(v, np.full_like(v, c), q, np.zeros_like(v), v.copy())
-    return float(lam * lq_norm(x, q) ** (1.0 - q) - c)
 
 
 def prox_group(v, params: ProxParams) -> np.ndarray:

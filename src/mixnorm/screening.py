@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InputError, InvalidParameterError
 from .model import (
+    ZERO_GROUP_NORM,
     GroupPartition,
     GroupedVector,
     ProblemInstance,
@@ -186,8 +187,6 @@ def screen_groups(inst: ProblemInstance, lam_new: float, lam_old: float,
 # ---------------------------------------------------------------------------
 # the path driver: screen, then solve, down a decreasing parameter sequence
 
-ZERO_GROUP_NORM = 1e-6
-
 
 @dataclass
 class PathStep:
@@ -238,18 +237,6 @@ class PathResult:
     def unconverged_steps(self) -> int:
         return int(np.count_nonzero(~self.converged))
 
-    @property
-    def total_solve_time(self) -> float:
-        return float(self.solve_times.sum())
-
-    @property
-    def total_screen_time(self) -> float:
-        return float(self.screen_times.sum())
-
-    @property
-    def total_time(self) -> float:
-        return self.total_solve_time + self.total_screen_time
-
 
 def reduced_instance(inst: ProblemInstance, keep: np.ndarray, lam: float
                      ) -> tuple[ProblemInstance, np.ndarray]:
@@ -274,30 +261,34 @@ def _rejection_ratio(discarded: int, x_full: np.ndarray, inst: ProblemInstance) 
     return discarded / true_zero if true_zero > 0 else 0.0
 
 
-def screen_sequential(inst: ProblemInstance, lambdas, solver_config: SolverConfig | None = None,
+def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig | None = None,
                       screening: bool = True) -> PathResult:
-    """Screen-then-solve down a nonincreasing penalty sequence.
+    """Screen-then-solve down the penalties lam = ratios * lambda_max.
 
-    Each step screens through ``screen_groups`` against the previous
-    step's dual estimate (the very first against Y/lam_max), solves the
-    reduced problem warm-started from the previous solution, and re-embeds
-    zeros for the discarded groups.
+    The ratios must be positive and nonincreasing; a ratio above 1 is a
+    step above lambda_max.  Each step screens through ``screen_groups``
+    against the previous step's dual estimate (the very first against
+    Y/lam_max), solves the reduced problem warm-started from the previous
+    solution, and re-embeds zeros for the discarded groups.
     A step at or above lambda_max discards every group, and a repeated
     lambda reuses the previous mask as is.  The ball assumes the previous
     solve reached its optimum, so a step after an unconverged solve
     discards nothing.  With ``screening`` off every step keeps every group,
     so each one is a warm-started full solve.
     """
-    lambdas = np.asarray(lambdas, dtype=np.float64).ravel()
-    if lambdas.size == 0 or np.any(lambdas <= 0):
-        raise InvalidParameterError("lambda sequence must be positive and nonempty")
-    if np.any(np.diff(lambdas) > 0):
-        raise InvalidParameterError("lambda sequence must be nonincreasing")
+    ratios = np.asarray(ratios, dtype=np.float64).ravel()
+    if ratios.size == 0 or np.any(ratios <= 0):
+        raise InvalidParameterError("ratio sequence must be positive and nonempty")
+    if np.any(np.diff(ratios) > 0):
+        raise InvalidParameterError("ratio sequence must be nonincreasing")
     solver_config = solver_config or SolverConfig()
 
     lmax = lambda_max(inst)
+    if lmax.value <= 0:
+        raise InvalidParameterError("lambda_max is zero; the path is trivially zero")
+    lambdas = ratios * lmax.value
     T = group_bound_cache(inst) if screening else None
-    result = PathResult(lam_max=lmax.value, ratios=lambdas / lmax.value, screening=screening)
+    result = PathResult(lam_max=lmax.value, ratios=ratios, screening=screening)
     s = inst.partition.s
     prev_lam = lmax.value
     prev_x = np.zeros(inst.p)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, LineSearchError
 from .model import (
+    ZERO_GROUP_NORM,
     GroupedVector,
     ProblemInstance,
     dual_exponent,
@@ -163,13 +164,12 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     )
 
 
-def kkt_group_residuals(inst: ProblemInstance, W: GroupedVector,
-                        active_threshold: float = 1e-6) -> np.ndarray:
+def kkt_group_residuals(inst: ProblemInstance, W: GroupedVector) -> np.ndarray:
     """Per-group optimality residuals at W for lam > 0.
 
     With u_i = B_i^T (Y - B w) / lam, a group is optimal iff
     ||u_i||_qbar <= 1, and additionally <u_i, w_i> = ||w_i||_q when the
-    group is active.  Returns max(0, dual-norm excess, pairing deficit).
+    group is active (||w_i||_q > ZERO_GROUP_NORM).  Returns max(0, dual-norm excess, pairing deficit).
     """
     if inst.lam <= 0:
         raise InvalidParameterError("KKT residuals need lam > 0")
@@ -179,6 +179,6 @@ def kkt_group_residuals(inst: ProblemInstance, W: GroupedVector,
     u_norms = group_norms(u, inst.partition, qbar)
     w_norms = group_norms(w, inst.partition, inst.q)
     res = np.maximum(u_norms - 1.0, 0.0)
-    active = w_norms > active_threshold
+    active = w_norms > ZERO_GROUP_NORM
     pairing = 1.0 - np.add.reduceat(u * w, inst.partition.starts) / np.where(active, w_norms, 1.0)
     return np.where(active, np.maximum(res, pairing), res)

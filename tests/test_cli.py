@@ -9,7 +9,8 @@ import pytest
 
 from mixnorm import csvio
 from mixnorm.cli import main
-from mixnorm.model import GroupPartition
+from mixnorm.model import GroupPartition, ProblemInstance
+from mixnorm.solver import SolverConfig, solve
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,21 @@ def test_oracle_grid_prox_subcommand(tmp_path, capsys):
     assert np.allclose(got, [0.911952, 2.029524], atol=1e-3)
 
 
+def test_oracle_refsolve_subcommand(tmp_path, rng, capsys):
+    B, Y = make_dataset(tmp_path, rng)
+    out = tmp_path / "W.csv"
+    code = main(["oracle", "--mode", "refsolve", *data_args(tmp_path),
+                 "--q", "2", "--lambda", "2.0", "--out", str(out)])
+    assert code == 0
+    words = capsys.readouterr().out.split()
+    assert words[words.index("converged") + 1] == "True"
+    got = float(words[words.index("objective") + 1])
+    inst = ProblemInstance(B, Y, GroupPartition((6, 6, 6, 6)), 2.0, 2.0)
+    want = solve(inst, SolverConfig(tol=1e-12)).f_history[-1]
+    assert got == pytest.approx(want, rel=1e-9)
+    assert csvio.read_vector(out).shape == (24,)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["bogus"]) == 1
     capsys.readouterr()
@@ -256,6 +272,7 @@ def test_exit_codes(tmp_path, capsys):
     ("synthetic_value", 2),
     ("missing_config", 2),
     ("gen_corr", 1),
+    ("refsolve_data", 1),
 ])
 def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
@@ -270,6 +287,7 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
         "missing_config": ["prox", "--config", str(tmp_path / "none.cfg")],
         "gen_corr": ["gen", "--preset", "screening", "--corr", "0.5",
                      "--out-dir", str(tmp_path / "out")],
+        "refsolve_data": ["oracle", "--mode", "refsolve", "--q", "2", "--lambda", "1"],
     }[case]
     assert main(argv) == want
     assert capsys.readouterr().err.startswith("usage error" if want == 1 else "error")

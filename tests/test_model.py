@@ -4,8 +4,8 @@ import pytest
 from mixnorm.errors import (DimensionError, InvalidExponentError,
                             InvalidParameterError)
 from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
-                           QKind, classify_q, dual_exponent, gradient_ls,
-                           group_norms, lq_norm, mixed_norm, objective)
+                           QKind, classify_q, dual_exponent, group_norms,
+                           lq_norm, mixed_norm, objective)
 
 
 def test_classify_q():
@@ -75,11 +75,6 @@ def test_grouped_vector_views():
     g = w.group(1)
     g[:] = 0.0  # live view writes through
     assert np.array_equal(w.values, [1.0, 2.0, 0.0, 0.0])
-    z = GroupedVector.zeros(part)
-    assert np.array_equal(z.values, np.zeros(4))
-    c = w.copy()
-    c.values[0] = 99.0
-    assert w.values[0] == 1.0
 
 
 def test_group_norms_against_per_group_loop(rng):
@@ -104,7 +99,6 @@ def test_problem_instance_validation(rng):
     part = GroupPartition((3, 3))
     inst = ProblemInstance(B, Y, part, 2.0, 0.5)
     assert inst.m == 5 and inst.p == 6
-    assert inst.qbar == 2.0
     assert inst.block(1).shape == (5, 3)
 
     with pytest.raises(DimensionError):
@@ -124,7 +118,7 @@ def test_with_lam_keeps_arrays(rng):
     assert np.shares_memory(other.B, inst.B) and np.shares_memory(other.Y, inst.Y)
 
 
-def test_objective_and_gradient(rng):
+def test_objective(rng):
     B = rng.standard_normal((6, 8))
     Y = rng.standard_normal(6)
     part = GroupPartition((4, 4))
@@ -134,15 +128,3 @@ def test_objective_and_gradient(rng):
     r = B @ w.values - Y
     want = 0.5 * r @ r + 0.7 * sum(np.linalg.norm(w.values[part.slice(i)]) for i in range(2))
     assert objective(inst, w) == pytest.approx(want, rel=1e-12)
-
-    g = gradient_ls(inst, w)
-    assert np.allclose(g.values, B.T @ r, rtol=1e-12)
-
-    # finite-difference check on the smooth part
-    eps = 1e-6
-    for j in (0, 3, 7):
-        wp = w.copy(); wp.values[j] += eps
-        wm = w.copy(); wm.values[j] -= eps
-        fp = 0.5 * np.sum((B @ wp.values - Y) ** 2)
-        fm = 0.5 * np.sum((B @ wm.values - Y) ** 2)
-        assert g.values[j] == pytest.approx((fp - fm) / (2 * eps), rel=1e-5, abs=1e-7)

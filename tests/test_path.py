@@ -48,7 +48,6 @@ def test_run_path_off_basics(rng):
     # optimal value is nondecreasing in lam, so nonincreasing along the path
     assert np.all(np.diff(out.objectives) <= 1e-8)
     assert out.solutions is not None and len(out.solutions) == 9
-    assert out.total_time >= out.total_solve_time
 
 
 def test_run_path_screening_matches_plain(rng):
@@ -73,7 +72,7 @@ def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
     config = SolverConfig(tol=1e-9)
     out = run_path(inst, PathSpec(ratios=ratios, solver=config))
     lmax = lambda_max(inst).value
-    x = GroupedVector.zeros(inst.partition)
+    x = GroupedVector(np.zeros(inst.p), inst.partition)
     for i, r in enumerate(ratios):
         res = solve(inst.with_lam(r * lmax), config, x0=x)
         x = res.solution

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from mixnorm.errors import InputError, InvalidExponentError, InvalidParameterError
 from mixnorm.model import GroupPartition, GroupedVector, dual_exponent, group_norms, lq_norm
-from mixnorm.prox import (ProxParams, outer_phi, prox_all, prox_general_q,
+from mixnorm.prox import (ProxParams, prox_all, prox_general_q,
                           prox_group, prox_inf, soft_threshold)
 
 
@@ -211,29 +211,6 @@ def test_general_machinery_at_q2_matches_closed_form(rng):
 
 # ---------------------------------------------------------------------------
 # outer zero-finding structure
-
-def test_outer_phi_sign_change():
-    v = np.abs(np.array([1.0, 3.0]))
-    lam, q = 1.0, 4.0
-    # phi(0) = lam * ||v||_q^(1-q) > 0, and phi is eventually negative
-    assert outer_phi(v, lam, q, 0.0) > 0
-    assert outer_phi(v, lam, q, 1e6) < 0
-    # the solved c makes phi vanish
-    x = prox_general_q(v, lam, q)
-    c_star = lam * lq_norm(x, q) ** (1 - q)
-    assert abs(outer_phi(v, lam, q, c_star)) < 1e-9
-
-
-def test_outer_phi_single_sign_change(rng):
-    # phi crosses zero exactly once on a fine grid
-    v = np.abs(rng.standard_normal(4)) + 0.1
-    lam, q = 0.5 * lq_norm(v, dual_exponent(3.0)), 3.0
-    cs = np.linspace(0.0, 50.0, 4001)
-    vals = np.array([outer_phi(v, lam, q, c) for c in cs])
-    signs = np.sign(vals)
-    changes = np.count_nonzero(np.diff(signs[signs != 0]))
-    assert changes == 1
-
 
 def test_fixed_point_iteration_can_fail_where_zero_finding_succeeds():
     """Naive alternation x <- shrink(v, c), c <- lam*||x||^(1-q) can cycle.

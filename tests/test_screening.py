@@ -21,11 +21,11 @@ def test_lambda_max_matches_manual(rng):
     inst = random_instance(rng, 12, 18, 2.0)
     lmax = lambda_max(inst)
     want = max(
-        lq_norm(inst.block(i).T @ inst.Y, inst.qbar)
+        lq_norm(inst.block(i).T @ inst.Y, dual_exponent(inst.q))
         for i in range(inst.partition.s)
     )
     assert lmax.value == pytest.approx(want, rel=1e-12)
-    got_g = lq_norm(inst.block(lmax.group).T @ inst.Y, inst.qbar)
+    got_g = lq_norm(inst.block(lmax.group).T @ inst.Y, dual_exponent(inst.q))
     assert got_g == pytest.approx(want, rel=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_dual_from_primal_scaled_feasible(rng):
     assert dual_feasibility_scale(inst, theta.theta) >= 1.0 - 1e-12
     # every group satisfies the dual constraint after the rescale
     for i in range(inst.partition.s):
-        assert lq_norm(inst.block(i).T @ theta.theta, inst.qbar) <= 1 + 1e-10
+        assert lq_norm(inst.block(i).T @ theta.theta, dual_exponent(inst.q)) <= 1 + 1e-10
 
 
 def test_group_bound_cache_matches_loop(rng):
@@ -81,7 +81,7 @@ def test_group_bound_cache_matches_loop(rng):
     cache = group_bound_cache(inst)
     for i in range(inst.partition.s):
         cols = np.linalg.norm(inst.block(i), axis=0)
-        assert cache[i] == pytest.approx(lq_norm(cols, inst.qbar), rel=1e-12)
+        assert cache[i] == pytest.approx(lq_norm(cols, dual_exponent(inst.q)), rel=1e-12)
 
 
 def test_group_bound_is_lipschitz_constant(rng):
@@ -92,8 +92,8 @@ def test_group_bound_is_lipschitz_constant(rng):
         a = rng.standard_normal(inst.m)
         b = rng.standard_normal(inst.m)
         for i in range(inst.partition.s):
-            na = lq_norm(inst.block(i).T @ a, inst.qbar)
-            nb = lq_norm(inst.block(i).T @ b, inst.qbar)
+            na = lq_norm(inst.block(i).T @ a, dual_exponent(inst.q))
+            nb = lq_norm(inst.block(i).T @ b, dual_exponent(inst.q))
             assert abs(na - nb) <= cache[i] * np.linalg.norm(a - b) + 1e-10
 
 
@@ -155,10 +155,9 @@ def test_screen_groups_above_lambda_max_discards_all(rng):
 
 def test_sequential_screening_matches_plain_solves(rng):
     inst = random_instance(rng, 20, 40, 2.0)
-    lmax = lambda_max(inst).value
-    lams = lmax * np.array([0.9, 0.7, 0.5, 0.3, 0.15])
-    seq = screen_sequential(inst, lams, solver_config=SolverConfig(tol=1e-10))
-    assert seq.lam_max == pytest.approx(lmax)
+    seq = screen_sequential(inst, np.array([0.9, 0.7, 0.5, 0.3, 0.15]),
+                            solver_config=SolverConfig(tol=1e-10))
+    assert seq.lam_max == pytest.approx(lambda_max(inst).value)
     for st in seq.steps:
         plain = solve(inst.with_lam(st.lam), SolverConfig(tol=1e-10, max_iters=50000))
         rel = abs(st.objective - plain.f_history[-1]) / max(1.0, abs(plain.f_history[-1]))
@@ -168,25 +167,33 @@ def test_sequential_screening_matches_plain_solves(rng):
 def test_sequential_screening_starting_above_lambda_max(rng):
     # first grid point above lambda_max must not poison the next ball
     inst = random_instance(rng, 14, 24, 2.0)
-    lmax = lambda_max(inst).value
-    lams = lmax * np.array([1.01, 0.8, 0.5])
-    seq = screen_sequential(inst, lams, solver_config=SolverConfig(tol=1e-10))
+    seq = screen_sequential(inst, np.array([1.01, 0.8, 0.5]),
+                            solver_config=SolverConfig(tol=1e-10))
     assert seq.steps[0].groups_kept == 0
     assert np.abs(seq.steps[0].solution).max() == 0.0
-    plain = solve(inst.with_lam(lams[2]), SolverConfig(tol=1e-10, max_iters=50000))
+    plain = solve(inst.with_lam(seq.steps[2].lam), SolverConfig(tol=1e-10, max_iters=50000))
     rel = abs(seq.steps[2].objective - plain.f_history[-1]) / max(1.0, abs(plain.f_history[-1]))
     assert rel <= 1e-7
 
 
 def test_sequential_screening_repeated_lambda(rng):
     inst = random_instance(rng, 12, 18, 2.0)
-    lmax = lambda_max(inst).value
-    lams = lmax * np.array([0.6, 0.6, 0.4])
-    seq = screen_sequential(inst, lams)
+    seq = screen_sequential(inst, np.array([0.6, 0.6, 0.4]))
     assert np.array_equal(seq.steps[0].mask, seq.steps[1].mask)
     # the repeat is re-solved warm from the previous point, so only
     # solver-tolerance agreement is promised
     assert seq.steps[0].objective == pytest.approx(seq.steps[1].objective, rel=1e-6)
+
+
+def test_sequential_screening_ratio_contract(rng):
+    # the driver keeps the caller's ratios and scales them by its one lambda_max
+    inst = random_instance(rng, 14, 24, 2.0)
+    ratios = np.array([1.2, 0.9, 0.5])
+    seq = screen_sequential(inst, ratios)
+    assert np.array_equal(seq.ratios, ratios)
+    assert seq.lam_max == lambda_max(inst).value
+    assert np.array_equal(seq.lambdas, ratios * seq.lam_max)
+    assert seq.steps[0].groups_kept == 0
 
 
 def test_sequential_screening_rejects_increasing(rng):
@@ -218,14 +225,12 @@ def test_reduced_instance_solves_like_full(rng):
 
 def test_sequential_all_discarded_objective(rng):
     inst = random_instance(rng, 12, 18, 2.0)
-    lmax = lambda_max(inst).value
-    seq = screen_sequential(inst, np.array([lmax * 1.05]))
+    seq = screen_sequential(inst, np.array([1.05]))
     assert seq.steps[0].objective == pytest.approx(0.5 * inst.Y @ inst.Y, rel=1e-12)
 
 
 def test_rejection_ratio_range(rng):
     inst = random_instance(rng, 15, 30, 2.0)
-    lmax = lambda_max(inst).value
-    seq = screen_sequential(inst, lmax * np.array([0.95, 0.75, 0.5, 0.25]))
+    seq = screen_sequential(inst, np.array([0.95, 0.75, 0.5, 0.25]))
     rr = seq.rejection_ratios
     assert np.all(rr >= 0.0) and np.all(rr <= 1.0)

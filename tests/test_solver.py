@@ -153,6 +153,6 @@ def test_kkt_residuals_large_away_from_solution(rng):
 
 def test_kkt_requires_positive_lam(rng):
     inst = small_instance(rng).with_lam(0.0)
-    w = GroupedVector.zeros(inst.partition)
+    w = GroupedVector(np.zeros(inst.p), inst.partition)
     with pytest.raises(InvalidParameterError):
         kkt_group_residuals(inst, w)
