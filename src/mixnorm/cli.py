@@ -133,6 +133,14 @@ def _write_text_maybe_stdout(spec: str, text: str) -> None:
         Path(spec).write_text(text + "\n")
 
 
+def _path_totals(result) -> dict:
+    """Sums over the steps of a path, for the --json summaries."""
+    return {"groups_kept": int(result.groups_kept.sum()),
+            "screen_time": float(result.screen_times.sum()),
+            "solve_time": float(result.solve_times.sum()),
+            "mean_rejection": float(result.rejection_ratios.mean())}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -183,8 +191,7 @@ def _cmd_screen(ns) -> int:
     else:
         print(report)
     _emit(ns, {"lambda_max": seq.lam_max, "steps": len(seq.steps),
-               "mean_rejection": float(seq.rejection_ratios.mean()),
-               "unconverged_steps": seq.unconverged_steps})
+               "unconverged_steps": seq.unconverged_steps, **_path_totals(seq)})
     return 0
 
 
@@ -260,7 +267,7 @@ def _cmd_path(ns) -> int:
             csvio.write_vector(outdir / f"solution_{i:03d}.csv", sol)
     _emit(ns, {"points": len(result.steps), "lambda_max": result.lam_max,
                "screening": result.screening, "wall_time": wall,
-               "unconverged_steps": result.unconverged_steps})
+               "unconverged_steps": result.unconverged_steps, **_path_totals(result)})
     if not getattr(ns, "json", False):
         print(summary, end="")
     return 0
@@ -304,8 +311,7 @@ def _cmd_oracle(ns) -> int:
         raise _UsageError("refsolve needs --matrix/--response/--groups")
     inst = _load_instance(ns, ns.q, ns.lam)
     ref = reference_solve(inst, tol=ns.tol, max_iters=ns.max_iters)
-    if ns.out:
-        csvio.write_vector(ns.out, ref.solution.values)
+    _write_text_maybe_stdout(ns.out, csvio.format_vector_line(ref.solution.values))
     print(f"objective {ref.objective:.12g} residual {ref.residual:.3g} "
           f"iterations {ref.iterations} converged {ref.converged}")
     return 0
@@ -397,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--resolution", type=float, default=0.05)
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--out", default="-")
+    p.add_argument("--out", default="-", help="output file or - for stdout")
     p.add_argument("--matrix")
     p.add_argument("--response")
     p.add_argument("--groups")

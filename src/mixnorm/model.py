@@ -201,8 +201,8 @@ class StackedDesign:
     (response t fills rows t*m .. t*m + m - 1).  Its (m*k) x (d*k) design
     has entry A[j, i] at (t*m + j, i*k + t) for every t and zeros elsewhere,
     k^2 times the memory of A; this class never builds it.  It offers what
-    the package uses: ``B @ w``, ``B.T @ r``, column norms and the selection
-    of groups.
+    the package uses: ``B @ w``, ``B.T @ r``, column and block norms and the
+    selection of groups.
     """
 
     ndim = 2
@@ -232,7 +232,12 @@ class StackedDesign:
 
     def column_norms(self) -> np.ndarray:
         """Column (i, t) of B holds column i of A and zeros."""
-        return np.repeat(np.sqrt(np.sum(self.A * self.A, axis=0)), self.k)
+        return np.repeat(self.block_norms(), self.k)
+
+    def block_norms(self) -> np.ndarray:
+        """Spectral norm of each group's block: ||a_i||, since the k columns
+        of block i are copies of column i of A on disjoint rows."""
+        return np.sqrt(np.sum(self.A * self.A, axis=0))
 
     def select_groups(self, keep: np.ndarray) -> "StackedDesign":
         """The design of the kept groups (a boolean mask or indices over A's columns)."""
@@ -319,6 +324,12 @@ class ProblemInstance:
         if isinstance(self.B, StackedDesign):
             return self.B.column_norms()
         return np.sqrt(np.sum(self.B * self.B, axis=0))
+
+    def block_norms(self) -> np.ndarray:
+        """Spectral norm ||B_i||_2 of every group's block of columns."""
+        if isinstance(self.B, StackedDesign):
+            return self.B.block_norms()
+        return np.array([np.linalg.norm(self.block(i), 2) for i in range(self.partition.s)])
 
     def select_groups(self, keep: np.ndarray) -> np.ndarray | StackedDesign:
         """The columns of B in the groups where the boolean ``keep`` is True."""

@@ -19,8 +19,12 @@ with the operator bound ||B_i^T u||_qbar <= T_i ||u||_2, the test
 
     ||B_i^T center||_qbar < 1 - T_i * radius
 
-certifies X*_i = 0 without touching the unsolved problem.  Theta estimates
-coming from inexact primal solutions are rescaled into F first.
+certifies X*_i = 0 without touching the unsolved problem.  T_i is the
+smaller of the qbar-norm of group i's column norms and
+g_i^max(0, 1/qbar - 1/2) ||B_i||_2 (g_i the group size); both bound the
+operator, the second by Cauchy-Schwarz and the equivalence of the l2 and
+lqbar norms on R^g_i.  Theta estimates coming from inexact primal solutions
+are rescaled into F first.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ from .model import (
 from .solver import SolverConfig, solve
 
 _REL_SLACK = 1e-12
+# relative raise of a computed spectral norm, so that its rounding cannot
+# leave T_i below the true operator norm
+_NORM_ROUNDING = 32 * np.finfo(np.float64).eps
 
 
 class LambdaMax(NamedTuple):
@@ -98,8 +105,21 @@ def dual_feasibility_scale(inst: ProblemInstance, theta: np.ndarray) -> float:
 
 
 def group_bound_cache(inst: ProblemInstance) -> np.ndarray:
-    """Per-group operator bounds T_i, ||B_i^T u||_qbar <= T_i ||u||_2."""
-    return group_norms(inst.column_norms(), inst.partition, dual_exponent(inst.q))
+    """Per-group operator bounds T_i, ||B_i^T u||_qbar <= T_i ||u||_2.
+
+    T_i is the smaller of two bounds.  Entry j of B_i^T u is at most
+    ||b_j|| ||u||, so the qbar-norm of the column norms is one; it is the
+    tighter at q = 1, where it is the largest column norm.  The other is
+    g_i^max(0, 1/qbar - 1/2) ||B_i||_2: ||B_i^T u||_2 <= ||B_i||_2 ||u||,
+    and ||z||_qbar <= g^max(0, 1/qbar - 1/2) ||z||_2 for z in R^g.  On a
+    block of near-orthogonal columns, such as a multi-response row group,
+    it is smaller by up to g_i^min(1/qbar, 1/2).
+    """
+    qbar = dual_exponent(inst.q)
+    by_columns = group_norms(inst.column_norms(), inst.partition, qbar)
+    widen = np.power(inst.partition.sizes_array, max(0.0, 1.0 / qbar - 0.5))
+    by_spectrum = widen * inst.block_norms() * (1.0 + _NORM_ROUNDING)
+    return np.minimum(by_columns, by_spectrum)
 
 
 def hoelder_direction(u: np.ndarray, q: float) -> np.ndarray:

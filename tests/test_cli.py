@@ -141,6 +141,33 @@ def test_path_outputs(tmp_path, rng, capsys):
     assert (outdir / "solution_002.csv").exists()
 
 
+def test_json_totals_match_step_reports(tmp_path, rng, capsys):
+    make_dataset(tmp_path, rng, m=30, p=48, groups=(4,) * 12)
+    report = tmp_path / "report.csv"
+    code = main(["screen", *data_args(tmp_path), "--ratios", "1.0:0.3:8",
+                 "--report", str(report), "--json"])
+    assert code == 0
+    screen_info = json.loads(capsys.readouterr().out)
+    screen_rows = np.loadtxt(report, delimiter=",", skiprows=1)
+    code = main(["path", *data_args(tmp_path), "--grid", "custom:1.0,0.8,0.6,0.4,0.3",
+                 "--screening", "on", "--out-dir", str(tmp_path / "run"), "--json"])
+    assert code == 0
+    path_info = json.loads(capsys.readouterr().out)
+    stats = np.loadtxt(tmp_path / "run" / "stats.csv", delimiter=",", skiprows=1)
+    # report: lambda,rejection_ratio,groups_kept,screen_time,solve_time
+    # stats:  lambda,ratio,objective,iterations,groups_kept,rejection_ratio,
+    #         solve_time,screen_time
+    for info, kept, rr, t_screen, t_solve in (
+            (screen_info, screen_rows[:, 2], screen_rows[:, 1], screen_rows[:, 3],
+             screen_rows[:, 4]),
+            (path_info, stats[:, 4], stats[:, 5], stats[:, 7], stats[:, 6])):
+        assert info["groups_kept"] == int(kept.sum())
+        assert 0 < info["groups_kept"] < 12 * len(kept)
+        assert info["mean_rejection"] == pytest.approx(rr.mean(), abs=1e-6)
+        assert info["screen_time"] == pytest.approx(t_screen.sum(), rel=1e-4, abs=1e-5)
+        assert info["solve_time"] == pytest.approx(t_solve.sum(), rel=1e-4, abs=1e-5)
+
+
 def test_gen_then_solve(tmp_path, capsys):
     outdir = tmp_path / "data"
     code = main(["gen", "--preset", "joint-sparse", "--m", "12", "--d", "15",
@@ -253,6 +280,19 @@ def test_oracle_refsolve_subcommand(tmp_path, rng, capsys):
     want = solve(inst, SolverConfig(tol=1e-12)).f_history[-1]
     assert got == pytest.approx(want, rel=1e-9)
     assert csvio.read_vector(out).shape == (24,)
+
+
+def test_oracle_refsolve_default_out_is_stdout(tmp_path, rng, capsys, monkeypatch):
+    make_dataset(tmp_path, rng)
+    args = ["oracle", "--mode", "refsolve", *data_args(tmp_path), "--q", "2", "--lambda", "2.0"]
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(args) == 0
+    assert not (workdir / "-").exists()
+    assert list(workdir.iterdir()) == []
+    solution_line = capsys.readouterr().out.splitlines()[0]
+    assert csvio.parse_vector_text(solution_line).shape == (24,)
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_instance
 from mixnorm.errors import InvalidParameterError
-from mixnorm.model import GroupPartition, GroupedVector, ProblemInstance
+from mixnorm.model import (ZERO_GROUP_NORM, GroupPartition, GroupedVector,
+                           ProblemInstance, group_norms)
 from mixnorm.path import (PathSpec, geometric_ratios, linear_ratios,
                           recovery_experiment, run_path, stacked_instance)
 from mixnorm.screening import lambda_max
@@ -183,6 +184,36 @@ def test_stacked_instance_at_synth_defaults_stores_only_A():
     inst = stacked_instance(A, Y, 2.0, 0.0)
     assert inst.B.shape == (5000, 10000)
     assert inst.B.nbytes == A.nbytes == 160_000
+
+
+def test_stacked_block_norms_match_dense_blocks(rng):
+    # block i of the stacked design has k orthogonal copies of column i of
+    # A, so its spectral norm is ||a_i|| without an SVD
+    m, d, k = 7, 6, 4
+    A = rng.standard_normal((m, d))
+    inst = stacked_instance(A, rng.standard_normal((m, k)), 2.0, 0.0)
+    dense = kron_stacked(A, k)
+    want = [np.linalg.norm(dense[:, inst.partition.slice(i)], 2) for i in range(d)]
+    assert np.allclose(inst.block_norms(), want, rtol=1e-13, atol=0.0)
+    as_dense = ProblemInstance(dense, inst.Y, inst.partition, 2.0, 0.0)
+    assert np.allclose(as_dense.block_norms(), want, rtol=1e-13, atol=0.0)
+
+
+def test_screening_discards_at_synth_defaults():
+    # at k = 50 the column-norm bound is sqrt(50) times the operator norm of
+    # a row group's block; with it alone nothing is discarded below lambda_max
+    A, _, Y = gen_joint_sparse(SynthSpec())
+    inst = stacked_instance(A, Y, 2.0, 0.0)
+    ratios = tuple(geometric_ratios(35))
+    config = SolverConfig(tol=1e-7)
+    screened = run_path(inst, PathSpec(ratios=ratios, screening=True, solver=config))
+    plain = run_path(inst, PathSpec(ratios=ratios, screening=False, solver=config))
+    for step, x in zip(screened.steps, plain.solutions):
+        nonzero = group_norms(x, inst.partition, 2.0) > ZERO_GROUP_NORM
+        assert not np.any(step.mask & nonzero)
+    assert ratios[1] == 0.9
+    true_zero = group_norms(plain.solutions[1], inst.partition, 2.0) <= ZERO_GROUP_NORM
+    assert np.count_nonzero(screened.steps[1].mask) >= 0.9 * np.count_nonzero(true_zero)
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0])

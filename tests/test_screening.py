@@ -4,7 +4,8 @@ import pytest
 from conftest import random_instance
 from mixnorm.errors import InputError, InvalidParameterError
 from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
-                           dual_exponent, group_norms, lq_norm)
+                           StackedDesign, dual_exponent, group_norms, lq_norm,
+                           stacked_instance)
 from mixnorm.screening import (DualPoint, dual_feasibility_scale,
                                dual_from_primal, group_bound_cache,
                                hoelder_direction, lambda_max, reduced_instance,
@@ -76,25 +77,53 @@ def test_dual_from_primal_scaled_feasible(rng):
         assert lq_norm(inst.block(i).T @ theta.theta, dual_exponent(inst.q)) <= 1 + 1e-10
 
 
+BOUND_QS = (1.0, 1.5, 2.0, 3.0, np.inf)
+
+
 def test_group_bound_cache_matches_loop(rng):
-    inst = random_instance(rng, 10, 16, 3.0)
-    cache = group_bound_cache(inst)
-    for i in range(inst.partition.s):
-        cols = np.linalg.norm(inst.block(i), axis=0)
-        assert cache[i] == pytest.approx(lq_norm(cols, dual_exponent(inst.q)), rel=1e-12)
+    # T_i = min(qbar-norm of the column norms, g_i^max(0, 1/qbar - 1/2) ||B_i||_2)
+    base = random_instance(rng, 10, 16, 2.0)
+    for q in BOUND_QS:
+        inst = ProblemInstance(base.B, base.Y, base.partition, q, 0.0)
+        qbar = dual_exponent(q)
+        cache = group_bound_cache(inst)
+        for i in range(inst.partition.s):
+            block = inst.block(i)
+            by_columns = lq_norm(np.linalg.norm(block, axis=0), qbar)
+            widen = block.shape[1] ** max(0.0, 1.0 / qbar - 0.5)
+            want = min(by_columns, widen * np.linalg.norm(block, 2))
+            assert cache[i] == pytest.approx(want, rel=1e-12)
+
+
+def bound_instances(rng):
+    """A dense and a stacked multi-response design at every kind of q."""
+    dense = random_instance(rng, 12, 20, 2.0)
+    A = rng.standard_normal((6, 5))
+    stacked = stacked_instance(A, rng.standard_normal((6, 4)), 2.0, 0.0)
+    for base in (dense, stacked):
+        for q in BOUND_QS:
+            yield ProblemInstance(base.B, base.Y, base.partition, q, 0.0)
 
 
 def test_group_bound_is_lipschitz_constant(rng):
-    # |  ||B_i^T a||_qbar - ||B_i^T b||_qbar | <= T_i ||a - b||
-    inst = random_instance(rng, 12, 20, 1.5)
-    cache = group_bound_cache(inst)
-    for _ in range(40):
-        a = rng.standard_normal(inst.m)
-        b = rng.standard_normal(inst.m)
+    # |  ||B_i^T a||_qbar - ||B_i^T b||_qbar | <= T_i ||a - b||, checked on
+    # random pairs and on the top left singular vector of B_i, where the
+    # spectral bound is nearly attained
+    for inst in bound_instances(rng):
+        qbar = dual_exponent(inst.q)
+        cache = group_bound_cache(inst)
         for i in range(inst.partition.s):
-            na = lq_norm(inst.block(i).T @ a, dual_exponent(inst.q))
-            nb = lq_norm(inst.block(i).T @ b, dual_exponent(inst.q))
-            assert abs(na - nb) <= cache[i] * np.linalg.norm(a - b) + 1e-10
+            block = inst.block(i)
+            dense_block = block.toarray() if isinstance(block, StackedDesign) else block
+            top = np.linalg.svd(dense_block)[0][:, 0]
+            assert lq_norm(block.T @ top, qbar) <= cache[i] + 1e-10
+        for _ in range(40):
+            a = rng.standard_normal(inst.m)
+            b = rng.standard_normal(inst.m)
+            for i in range(inst.partition.s):
+                na = lq_norm(inst.block(i).T @ a, qbar)
+                nb = lq_norm(inst.block(i).T @ b, qbar)
+                assert abs(na - nb) <= cache[i] * np.linalg.norm(a - b) + 1e-10
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, np.inf])
