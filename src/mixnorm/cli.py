@@ -75,11 +75,24 @@ def _attach_corr_value(argv: list[str]) -> list[str]:
     return out
 
 
-def _read_text(path) -> str:
+def _with_file(spec: str, mode: str, use):
+    """use(f) on the file a flag names; '-' names stdin (mode 'r') or stdout ('w')."""
+    if spec == "-":
+        return use(sys.stdin if mode == "r" else sys.stdout)
     try:
-        return Path(path).read_text()
+        f = open(spec, mode)
     except OSError as exc:
-        raise InputError(f"could not read {path}: {exc}") from exc
+        raise InputError(f"could not open {spec}: {exc}") from exc
+    with f:
+        return use(f)
+
+
+def _read_text(spec: str) -> str:
+    return _with_file(spec, "r", lambda f: f.read())
+
+
+def _write_text(spec: str, text: str) -> None:
+    _with_file(spec, "w", lambda f: f.write(text + "\n"))
 
 
 def _read_key_values(path: str, what: str) -> list[tuple[str, str]]:
@@ -120,19 +133,6 @@ def _emit(ns, summary: dict) -> None:
         print(json.dumps(summary, sort_keys=True))
 
 
-def _read_text_maybe_stdin(spec: str) -> str:
-    if spec == "-":
-        return sys.stdin.read()
-    return _read_text(spec)
-
-
-def _write_text_maybe_stdout(spec: str, text: str) -> None:
-    if spec == "-":
-        print(text)
-    else:
-        Path(spec).write_text(text + "\n")
-
-
 def _path_totals(result) -> dict:
     """Sums over the steps of a path, for the --json summaries."""
     return {"groups_kept": int(result.groups_kept.sum()),
@@ -145,10 +145,10 @@ def _path_totals(result) -> dict:
 # subcommands
 
 def _cmd_prox(ns) -> int:
-    v = csvio.parse_vector_text(_read_text_maybe_stdin(ns.infile))
+    v = csvio.parse_vector_text(_read_text(ns.infile))
     params = ProxParams(lam=ns.lam, q=ns.q)
     x = prox_group(v, params)
-    _write_text_maybe_stdout(ns.out, csvio.format_vector_line(x))
+    _write_text(ns.out, csvio.format_vector_line(x))
     _emit(ns, {"n": int(v.size), "q": ns.q, "lambda": ns.lam,
                "norm_in": float(np.linalg.norm(v)), "norm_out": float(np.linalg.norm(x))})
     return 0
@@ -161,9 +161,9 @@ def _cmd_solve(ns) -> int:
     config = SolverConfig(L0=ns.l0, max_iters=ns.max_iters, tol=ns.tol)
     res = solve(inst, config)
     if ns.out:
-        csvio.write_vector(ns.out, res.solution.values)
+        _with_file(ns.out, "w", lambda f: csvio.write_vector(f, res.solution.values))
     if ns.history:
-        csvio.write_vector(ns.history, res.f_history)
+        _with_file(ns.history, "w", lambda f: csvio.write_vector(f, res.f_history))
     nnz = int(np.count_nonzero(group_norms(res.solution.values, inst.partition, inst.q) > 1e-10))
     _emit(ns, {
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
@@ -176,20 +176,14 @@ def _cmd_solve(ns) -> int:
 
 
 def _cmd_screen(ns) -> int:
-    # looked up at call time, so a wrapper put on mixnorm.screening (the
-    # benchmark's tracer, perfbench/spans.py) also sees this call
-    from .screening import screen_sequential
     inst = _load_instance(ns, ns.q)
-    seq = screen_sequential(inst, _parse_ratios(ns.ratios), SolverConfig(tol=ns.tol))
+    seq = run_path(inst, PathSpec(ratios=tuple(_parse_ratios(ns.ratios)), screening=True,
+                                  solver=SolverConfig(tol=ns.tol)))
     lines = ["lambda,rejection_ratio,groups_kept,screen_time,solve_time"]
     for st in seq.steps:
         lines.append(f"{st.lam:.17g},{st.rejection_ratio:.6f},{st.groups_kept},"
                      f"{st.screen_time:.6g},{st.solve_time:.6g}")
-    report = "\n".join(lines)
-    if ns.report:
-        Path(ns.report).write_text(report + "\n")
-    else:
-        print(report)
+    _write_text(ns.report, "\n".join(lines))
     _emit(ns, {"lambda_max": seq.lam_max, "steps": len(seq.steps),
                "unconverged_steps": seq.unconverged_steps, **_path_totals(seq)})
     return 0
@@ -303,15 +297,15 @@ def _cmd_gen(ns) -> int:
 def _cmd_oracle(ns) -> int:
     from .oracle import prox_oracle_grid, reference_solve
     if ns.mode == "grid-prox":
-        v = csvio.parse_vector_text(_read_text_maybe_stdin(ns.infile))
+        v = csvio.parse_vector_text(_read_text(ns.infile))
         x = prox_oracle_grid(v, ns.lam, ns.q, resolution=ns.resolution)
-        _write_text_maybe_stdout(ns.out, csvio.format_vector_line(x))
+        _write_text(ns.out, csvio.format_vector_line(x))
         return 0
     if not (ns.matrix and ns.response and ns.groups):
         raise _UsageError("refsolve needs --matrix/--response/--groups")
     inst = _load_instance(ns, ns.q, ns.lam)
     ref = reference_solve(inst, tol=ns.tol, max_iters=ns.max_iters)
-    _write_text_maybe_stdout(ns.out, csvio.format_vector_line(ref.solution.values))
+    _write_text(ns.out, csvio.format_vector_line(ref.solution.values))
     print(f"objective {ref.objective:.12g} residual {ref.residual:.3g} "
           f"iterations {ref.iterations} converged {ref.converged}")
     return 0
@@ -348,8 +342,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--l0", type=float, default=None)
-    p.add_argument("--out", help="solution CSV")
-    p.add_argument("--history", help="objective history CSV")
+    p.add_argument("--out", help="solution CSV file or - for stdout")
+    p.add_argument("--history", help="objective history CSV file or - for stdout")
     _add_common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -361,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ratios", required=True,
                    help="'r1,r2,...' or 'start:stop:count'")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--report", help="report CSV path (default stdout)")
+    p.add_argument("--report", default="-", help="report CSV file or - for stdout")
     _add_common(p)
     p.set_defaults(func=_cmd_screen)
 
@@ -415,19 +409,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config_file(argv: list[str]) -> str | None:
+    """The FILE of '--config FILE' or '--config=FILE'; argparse reports a missing one."""
+    for arg, after in zip(argv, argv[1:] + [None]):
+        if arg == "--config":
+            return after
+        if arg.startswith("--config="):
+            return arg[len("--config="):]
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         # inject config-file entries right after the subcommand so explicit
         # flags (parsed later) win
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 >= len(argv):
-                raise _UsageError("--config needs a file argument")
-            injected = _read_config(argv[i + 1])
-            argv = argv[:1] + injected + argv[1:]
+        config = _config_file(argv)
+        if config is not None:
+            argv = argv[:1] + _read_config(config) + argv[1:]
         ns = parser.parse_args(_attach_corr_value(argv))
+        if ns.config != config:
+            # an abbreviation such as --conf, which argparse accepts
+            raise _UsageError("spell the option out: --config FILE or --config=FILE")
         return ns.func(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -442,3 +446,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .model import ZERO_GROUP_NORM, ProblemInstance, stacked_instance
 from .screening import PathResult, screen_sequential
 from .solver import SolverConfig
@@ -37,22 +36,12 @@ def geometric_ratios(n: int = 100, base: float = 0.9) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """What to run: ratio grid, screening toggle, solver knobs."""
+    """What to run: ratio grid (checked by the driver), screening toggle, solver knobs."""
 
     ratios: tuple[float, ...]
     screening: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
     store_solutions: bool = True
-
-    def __post_init__(self):
-        r = np.asarray(self.ratios, dtype=np.float64)
-        if r.size == 0:
-            raise InvalidParameterError("ratio grid is empty")
-        if np.any(r <= 0) or np.any(r > 1.0 + 1e-12):
-            raise InvalidParameterError("ratios must lie in (0, 1]")
-        if np.any(np.diff(r) > 0):
-            raise InvalidParameterError("ratios must be nonincreasing")
-        object.__setattr__(self, "ratios", tuple(float(x) for x in r))
 
 
 def run_path(inst: ProblemInstance, spec: PathSpec) -> PathResult:

@@ -168,6 +168,46 @@ def test_json_totals_match_step_reports(tmp_path, rng, capsys):
         assert info["solve_time"] == pytest.approx(t_solve.sum(), rel=1e-4, abs=1e-5)
 
 
+def test_path_and_screen_agree_above_one(tmp_path, rng):
+    # one ratio rule: both commands take a first ratio above 1
+    make_dataset(tmp_path, rng)
+    ratios = "1.2,0.9,0.5"
+    assert main(["path", *data_args(tmp_path), "--grid", f"custom:{ratios}",
+                 "--screening", "on", "--out-dir", str(tmp_path / "run")]) == 0
+    report = tmp_path / "report.csv"
+    assert main(["screen", *data_args(tmp_path), "--ratios", ratios,
+                 "--report", str(report)]) == 0
+    stats = np.loadtxt(tmp_path / "run" / "stats.csv", delimiter=",", skiprows=1)
+    rows = np.loadtxt(report, delimiter=",", skiprows=1)
+    assert np.array_equal(stats[:, 0], rows[:, 0])  # lambda
+    assert np.array_equal(stats[:, 4], rows[:, 2])  # groups_kept
+    assert rows[0, 2] == 0
+
+
+def test_dash_file_flags_write_stdout(tmp_path, rng, capsys, monkeypatch):
+    make_dataset(tmp_path, rng)
+    solution = tmp_path / "sol.csv"
+    assert main(["solve", *data_args(tmp_path), "--ratio", "0.5", "--out", str(solution)]) == 0
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    for flag, argv in (("--out", ["solve", "--ratio", "0.5"]),
+                       ("--history", ["solve", "--ratio", "0.5"]),
+                       ("--report", ["screen", "--ratios", "0.9,0.5"])):
+        assert main([*argv, *data_args(tmp_path), flag, "-", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        info = json.loads(lines[-1])
+        if flag == "--out":
+            assert "\n".join(lines[:-1]) + "\n" == solution.read_text()
+        elif flag == "--history":
+            assert len(lines) - 1 == info["iterations"] + 1
+        else:
+            assert lines[0] == "lambda,rejection_ratio,groups_kept,screen_time,solve_time"
+            assert len(lines) - 2 == info["steps"] == 2
+    assert list(workdir.iterdir()) == []
+
+
 def test_gen_then_solve(tmp_path, capsys):
     outdir = tmp_path / "data"
     code = main(["gen", "--preset", "joint-sparse", "--m", "12", "--d", "15",
@@ -257,6 +297,18 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert np.linalg.norm(overridden) < np.linalg.norm(from_cfg)
 
 
+def test_config_attached_spelling(tmp_path, rng, capsys):
+    make_dataset(tmp_path, rng)
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("q=1\n")
+    outs = {}
+    for name, extra in (("default", []), ("spaced", ["--config", str(cfg)]),
+                        ("attached", [f"--config={cfg}"])):
+        assert main(["solve", *data_args(tmp_path), "--ratio", "0.5", *extra, "--json"]) == 0
+        outs[name] = capsys.readouterr().out
+    assert outs["attached"] == outs["spaced"] != outs["default"]
+
+
 def test_oracle_grid_prox_subcommand(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("1, 3")
@@ -311,6 +363,8 @@ def test_exit_codes(tmp_path, capsys):
     ("path_grid", 1),
     ("synthetic_value", 2),
     ("missing_config", 2),
+    ("missing_config_attached", 2),
+    ("abbreviated_config", 1),
     ("gen_corr", 1),
     ("refsolve_data", 1),
 ])
@@ -325,6 +379,9 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
         "synthetic_value": ["path", "--synthetic", str(spec),
                             "--out-dir", str(tmp_path / "out")],
         "missing_config": ["prox", "--config", str(tmp_path / "none.cfg")],
+        "missing_config_attached": ["prox", f"--config={tmp_path / 'none.cfg'}"],
+        "abbreviated_config": ["prox", "--q", "2", "--lambda", "1", "--in",
+                               str(tmp_path / "Y.csv"), "--conf", str(spec)],
         "gen_corr": ["gen", "--preset", "screening", "--corr", "0.5",
                      "--out-dir", str(tmp_path / "out")],
         "refsolve_data": ["oracle", "--mode", "refsolve", "--q", "2", "--lambda", "1"],
@@ -333,19 +390,30 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     assert capsys.readouterr().err.startswith("usage error" if want == 1 else "error")
 
 
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the oracles (and scipy with them) load only for the oracle subcommand;
     # beyond the standard library, importing the CLI loads numpy and nothing
     # else, which keeps every command's start-up short
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys; before = set(sys.modules); import mixnorm.cli; "
             "print(*{m.split('.')[0] for m in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
+                         env=src_env(), timeout=120, check=True)
     assert set(out.stdout.split()) <= {"mixnorm", "numpy"}
+
+
+def test_module_entry_point_runs_main():
+    out = subprocess.run([sys.executable, "-m", "mixnorm.cli", "solve", "--bogus"],
+                         capture_output=True, text=True, env=src_env(), timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.startswith("usage error")
 
 
 def test_usage_error_message_on_stderr(capsys):

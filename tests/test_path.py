@@ -28,15 +28,18 @@ def test_geometric_ratios_grid():
     assert np.allclose(r[1:] / r[:-1], 0.9)
 
 
-def test_path_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        PathSpec(ratios=(0.5, 0.7))       # increasing
-    with pytest.raises(InvalidParameterError):
-        PathSpec(ratios=(1.2, 0.5))       # above 1
-    with pytest.raises(InvalidParameterError):
-        PathSpec(ratios=(0.5, 0.0))       # zero
-    with pytest.raises(InvalidParameterError):
-        PathSpec(ratios=())
+def test_path_spec_validation(rng):
+    # the driver checks the ratios; PathSpec only carries them
+    inst = random_instance(rng, 12, 16, 2.0).with_lam(0.0)
+    for bad in ((0.5, 0.7), (0.5, 0.0), ()):  # increasing, zero, empty
+        with pytest.raises(InvalidParameterError):
+            run_path(inst, PathSpec(ratios=bad))
+    # a ratio above 1 is a step above lambda_max, where the solution is zero
+    for screening in (False, True):
+        out = run_path(inst, PathSpec(ratios=(1.2, 0.5), screening=screening))
+        assert np.array_equal(out.ratios, [1.2, 0.5])
+        assert not np.any(out.solutions[0])
+        assert np.any(out.solutions[1])
 
 
 def test_run_path_off_basics(rng):
