@@ -168,6 +168,7 @@ def _cmd_solve(ns) -> int:
     _emit(ns, {
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
         "iterations": res.iterations, "converged": res.converged, "nonzero_groups": nnz,
+        "restarts": res.restarts, "backtracks": res.backtracks,
     })
     if not getattr(ns, "json", False):
         print(f"objective {res.f_history[-1]:.12g} after {res.iterations} iterations "

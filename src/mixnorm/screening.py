@@ -285,7 +285,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
                       screening: bool = True) -> PathResult:
     """Screen-then-solve down the penalties lam = ratios * lambda_max.
 
-    The ratios must be positive and nonincreasing; a ratio above 1 is a
+    The ratios must be finite, positive and nonincreasing; a ratio above 1 is a
     step above lambda_max.  Each step screens through ``screen_groups``
     against the previous step's dual estimate (the very first against
     Y/lam_max), solves the reduced problem warm-started from the previous
@@ -297,8 +297,8 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
     so each one is a warm-started full solve.
     """
     ratios = np.asarray(ratios, dtype=np.float64).ravel()
-    if ratios.size == 0 or np.any(ratios <= 0):
-        raise InvalidParameterError("ratio sequence must be positive and nonempty")
+    if ratios.size == 0 or not np.all(np.isfinite(ratios) & (ratios > 0)):
+        raise InvalidParameterError("ratio sequence must be finite, positive and nonempty")
     if np.any(np.diff(ratios) > 0):
         raise InvalidParameterError("ratio sequence must be nonincreasing")
     solver_config = solver_config or SolverConfig()

@@ -8,8 +8,12 @@ Iterates
 doubling L until the quadratic model at S_i dominates the objective at the
 candidate, with the extrapolation weights alpha_{-1} = 0, alpha_0 = 1,
 alpha_{i+1} = (1 + sqrt(1 + 4 alpha_i^2)) / 2.  L is carried forward and
-never decreased.  Stops when the objective change falls below
-tol * max(1, |f|), or at the iteration cap.
+never decreased.  After each step the gradient-mapping restart test
+<S_i - X_{i+1}, X_{i+1} - X_i> > 0 (O'Donoghue & Candes, 2015) drops the
+momentum: the weights go back to alpha = (0, 1) and the previous iterate
+to X_{i+1}, so the next extrapolated point is X_{i+1} itself.  Stops when
+the objective change falls below tol * max(1, |f|), or at the iteration
+cap.
 """
 
 from __future__ import annotations
@@ -55,13 +59,19 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Final iterate plus convergence bookkeeping."""
+    """Final iterate plus convergence bookkeeping.
+
+    ``backtracks`` counts the doublings of L, so L_final = L0 * 2**backtracks;
+    ``restarts`` counts the momentum resets.
+    """
 
     solution: GroupedVector
     f_history: np.ndarray
     iterations: int
     converged: bool
     L_final: float
+    restarts: int
+    backtracks: int
 
 
 def default_l0(inst: ProblemInstance) -> float:
@@ -112,9 +122,9 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     x_cur = np.zeros(inst.p) if x0 is None else np.asarray(x0.values, dtype=np.float64).copy()
     if x_cur.shape != (inst.p,):
         raise InvalidParameterError("x0 has the wrong length for this instance")
-    x_prev = x_cur.copy()
     Bx_cur = B @ x_cur
-    Bx_prev = Bx_cur.copy()
+    # x_cur - x_prev and its image under B: the momentum direction
+    dx = dBx = 0.0
 
     r0 = Bx_cur - Y
     f_cur = 0.5 * float(np.dot(r0, r0)) + _penalty(x_cur, inst)
@@ -122,14 +132,14 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         raise DivergenceError("objective is non-finite at the starting point")
     history = [f_cur]
 
-    L = config.L0 if config.L0 is not None else default_l0(inst)
+    L = L0 = config.L0 if config.L0 is not None else default_l0(inst)
     alpha_prev, alpha_cur = 0.0, 1.0
     converged = False
-    stall = 0
+    stall = restarts = 0
     for it in range(1, config.max_iters + 1):
         beta = (alpha_prev - 1.0) / alpha_cur
-        s = x_cur + beta * (x_cur - x_prev)
-        Bs = Bx_cur + beta * (Bx_cur - Bx_prev)
+        s = x_cur + beta * dx
+        Bs = Bx_cur + beta * dBx
         g = B.T @ (Bs - Y)
 
         x_new, Bx_new, L = _backtrack(s, Bs, g, L, inst)
@@ -139,9 +149,14 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         history.append(f_new)
 
-        x_prev, x_cur = x_cur, x_new
-        Bx_prev, Bx_cur = Bx_cur, Bx_new
-        alpha_prev, alpha_cur = alpha_cur, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_cur ** 2))
+        dx, dBx = x_new - x_cur, Bx_new - Bx_cur
+        if float(np.dot(s - x_new, dx)) > 0.0:
+            restarts += 1
+            dx = dBx = 0.0
+            alpha_prev, alpha_cur = 0.0, 1.0
+        else:
+            alpha_prev, alpha_cur = alpha_cur, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_cur ** 2))
+        x_cur, Bx_cur = x_new, Bx_new
 
         # momentum can stall the objective for an iteration without being
         # anywhere near a minimizer, so the small-change test has to hold on
@@ -161,6 +176,9 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         iterations=it,
         converged=converged,
         L_final=L,
+        restarts=restarts,
+        # L changes only by exact doublings, so the ratio is a power of two
+        backtracks=round(math.log2(L / L0)),
     )
 
 

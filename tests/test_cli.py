@@ -105,6 +105,7 @@ def test_solve_writes_solution_and_json(tmp_path, rng, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["converged"] is True
     assert 0 < info["lambda"] < info["lambda_max"]
+    assert all(isinstance(info[k], int) and info[k] >= 0 for k in ("restarts", "backtracks"))
     sol = csvio.read_vector(out)
     assert sol.shape == (24,)
 
@@ -360,6 +361,8 @@ def test_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("case, want", [
     ("screen_ratios", 1),
+    ("screen_ratios_inf", 2),
+    ("screen_ratios_nan", 2),
     ("path_grid", 1),
     ("synthetic_value", 2),
     ("missing_config", 2),
@@ -374,6 +377,8 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     spec.write_text("preset=screening\nm=abc\n")
     argv = {
         "screen_ratios": ["screen", *data_args(tmp_path), "--ratios", "abc"],
+        "screen_ratios_inf": ["screen", *data_args(tmp_path), "--ratios", "inf,0.5"],
+        "screen_ratios_nan": ["screen", *data_args(tmp_path), "--ratios", "nan,0.5"],
         "path_grid": ["path", *data_args(tmp_path), "--grid", "custom:0.5,x",
                       "--out-dir", str(tmp_path / "out")],
         "synthetic_value": ["path", "--synthetic", str(spec),
@@ -387,7 +392,11 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
         "refsolve_data": ["oracle", "--mode", "refsolve", "--q", "2", "--lambda", "1"],
     }[case]
     assert main(argv) == want
-    assert capsys.readouterr().err.startswith("usage error" if want == 1 else "error")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error" if want == 1 else "error")
+    if case in ("screen_ratios_inf", "screen_ratios_nan"):
+        # rejected by the ratio rule, not by a later step
+        assert "ratio sequence" in err
 
 
 def src_env() -> dict:

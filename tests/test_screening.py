@@ -231,6 +231,15 @@ def test_sequential_screening_rejects_increasing(rng):
         screen_sequential(inst, np.array([0.5, 0.7]))
 
 
+@pytest.mark.parametrize("ratios", [[np.inf, 0.5], [np.nan, 0.5], [0.5, np.nan]])
+@pytest.mark.parametrize("screening", [True, False])
+def test_sequential_screening_rejects_non_finite(ratios, screening, rng):
+    # the ratio rule itself rejects them, before any step is screened or solved
+    inst = random_instance(rng, 10, 12, 2.0)
+    with pytest.raises(InvalidParameterError, match="ratio sequence"):
+        screen_sequential(inst, np.array(ratios), screening=screening)
+
+
 def test_reduced_instance_solves_like_full(rng):
     inst = random_instance(rng, 16, 32, 2.0, lam_ratio=0.4)
     keep = np.zeros(inst.partition.s, dtype=bool)

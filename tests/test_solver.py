@@ -6,6 +6,7 @@ from mixnorm.errors import DivergenceError, InvalidParameterError
 from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
                            group_norms, objective)
 from mixnorm.oracle import reference_solve
+from mixnorm.screening import lambda_max
 from mixnorm.solver import SolverConfig, default_l0, kkt_group_residuals, solve
 
 
@@ -101,6 +102,42 @@ def test_warm_start_reduces_iterations(rng):
     warm = solve(inst, SolverConfig(tol=1e-10), x0=cold.solution)
     assert warm.iterations <= cold.iterations
     assert abs(warm.f_history[-1] - cold.f_history[-1]) <= 1e-7 * max(1.0, abs(cold.f_history[-1]))
+
+
+def criterion_05_instances():
+    """The three instances of acceptance criterion 05, drawn in its order:
+    60 x 50 Gaussian designs, ten random groups, q = 2, lam = 0.15 lambda_max."""
+    rng = np.random.default_rng(505)
+    for _ in range(3):
+        B = rng.standard_normal((60, 50))
+        Y = rng.standard_normal(60)
+        cuts = np.sort(rng.choice(np.arange(1, 50), size=9, replace=False))
+        part = GroupPartition(tuple(int(n) for n in np.diff(np.concatenate(([0], cuts, [50])))))
+        inst = ProblemInstance(B, Y, part, 2.0, 0.0)
+        yield inst.with_lam(0.15 * lambda_max(inst).value)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_restart_converges_fast(k):
+    # without restart the momentum overshoots and these take 260-344
+    # iterations; with restart they take 77-84
+    inst = list(criterion_05_instances())[k]
+    res = solve(inst, SolverConfig(tol=1e-14, max_iters=100000))
+    ref = reference_solve(inst, tol=1e-12)
+    assert res.converged and ref.converged
+    assert res.iterations <= 120
+    assert res.f_history[-1] == pytest.approx(ref.objective, rel=1e-10)
+
+
+def test_restart_and_backtrack_counters(rng):
+    inst = next(criterion_05_instances())
+    res = solve(inst, SolverConfig(tol=1e-14, max_iters=100000))
+    assert res.restarts > 0
+    assert res.L_final == default_l0(inst) * 2.0 ** res.backtracks
+    small = small_instance(rng)
+    res = solve(small, SolverConfig(L0=1e-3, tol=1e-10))
+    assert res.backtracks > 0
+    assert res.L_final == 1e-3 * 2.0 ** res.backtracks
 
 
 def test_lam_zero_reaches_least_squares(rng):
