@@ -116,7 +116,7 @@ class GroupPartition:
         """Prefix sums; offsets has length s+1 and offsets[-1] == p."""
         return np.concatenate(([0], np.cumsum(self.sizes))).astype(np.intp)
 
-    @property
+    @cached_property
     def p(self) -> int:
         return int(self.offsets[-1])
 
@@ -128,7 +128,7 @@ class GroupPartition:
         off = self.offsets
         return slice(int(off[i]), int(off[i + 1]))
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
         """Group start indices, the reduceat index array."""
         return self.offsets[:-1]
@@ -166,15 +166,18 @@ class GroupedVector:
 
 def group_norms(values: np.ndarray, partition: GroupPartition, q: float) -> np.ndarray:
     """Per-group lq norms of a flat length-p vector, vectorized via reduceat."""
-    kind = classify_q(q)
-    a = np.abs(np.asarray(values, dtype=np.float64)).ravel()
+    # q = 2 is the solver's hot path: tested before the general validation,
+    # and v * v equals |v| * |v| bit for bit, so it takes no abs
+    kind = QKind.TWO if q == 2.0 else classify_q(q)
+    a = np.asarray(values, dtype=np.float64).ravel()
     if a.shape != (partition.p,):
         raise DimensionError(f"expected length {partition.p}, got {a.shape[0]}")
     starts = partition.starts
-    if kind is QKind.ONE:
-        return np.add.reduceat(a, starts)
     if kind is QKind.TWO:
         return np.sqrt(np.add.reduceat(a * a, starts))
+    a = np.abs(a)
+    if kind is QKind.ONE:
+        return np.add.reduceat(a, starts)
     if kind is QKind.INF:
         return np.maximum.reduceat(a, starts)
     gmax = np.maximum.reduceat(a, starts)

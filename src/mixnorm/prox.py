@@ -315,8 +315,16 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     place that dispatches on the exponent."""
     if lam == 0.0:
         return values.copy()
-    kind = classify_q(q)
     sizes = partition.sizes_array
+    if q == 2.0:
+        # tested before classify_q: q = 2 is self-dual and needs no
+        # per-coordinate zero mask
+        gn = group_norms(values, partition, 2.0)
+        zero_g = lam >= gn * (1.0 - ZERO_SLACK)
+        denom = np.where(gn > 0.0, gn, 1.0)
+        factor = np.where(zero_g, 0.0, (gn - lam) / denom)
+        return values * np.repeat(factor, sizes)
+    kind = classify_q(q)
     gn = group_norms(values, partition, dual_exponent(q))
     zero_g = lam >= gn * (1.0 - ZERO_SLACK)
     zero_c = np.repeat(zero_g, sizes)
@@ -325,10 +333,6 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
         out = soft_threshold(values, lam)
         out[zero_c] = 0.0
         return out
-    if kind is QKind.TWO:
-        denom = np.where(gn > 0.0, gn, 1.0)
-        factor = np.where(zero_g, 0.0, (gn - lam) / denom)
-        return values * np.repeat(factor, sizes)
     # q = inf and general q solve the live groups only, with their zero
     # entries stripped: a zero entry stays zero at every q
     out = np.zeros_like(values)

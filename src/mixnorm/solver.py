@@ -102,7 +102,7 @@ def _backtrack(s, Bs, g, L, inst):
         d = x - s
         Bx = inst.B @ x
         bd = Bx - Bs
-        if float(np.dot(bd, bd)) <= L * float(np.dot(d, d)):
+        if float(bd @ bd) <= L * float(d @ d):
             return x, Bx, L
         L *= 2.0
         if L > _L_CAP:
@@ -118,7 +118,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     iterations.
     """
     config = config or SolverConfig()
-    B, Y = inst.B, inst.Y
+    B, BT, Y = inst.B, inst.B.T, inst.Y
     x_cur = np.zeros(inst.p) if x0 is None else np.asarray(x0.values, dtype=np.float64).copy()
     if x_cur.shape != (inst.p,):
         raise InvalidParameterError("x0 has the wrong length for this instance")
@@ -127,7 +127,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     dx = dBx = 0.0
 
     r0 = Bx_cur - Y
-    f_cur = 0.5 * float(np.dot(r0, r0)) + _penalty(x_cur, inst)
+    f_cur = 0.5 * float(r0 @ r0) + _penalty(x_cur, inst)
     if not math.isfinite(f_cur):
         raise DivergenceError("objective is non-finite at the starting point")
     history = [f_cur]
@@ -137,20 +137,24 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     converged = False
     stall = restarts = 0
     for it in range(1, config.max_iters + 1):
-        beta = (alpha_prev - 1.0) / alpha_cur
-        s = x_cur + beta * dx
-        Bs = Bx_cur + beta * dBx
-        g = B.T @ (Bs - Y)
+        if alpha_prev == 0.0:
+            # first step, or just restarted: no momentum, s is x_cur itself
+            s, Bs = x_cur, Bx_cur
+        else:
+            beta = (alpha_prev - 1.0) / alpha_cur
+            s = x_cur + beta * dx
+            Bs = Bx_cur + beta * dBx
+        g = BT @ (Bs - Y)
 
         x_new, Bx_new, L = _backtrack(s, Bs, g, L, inst)
         rn = Bx_new - Y
-        f_new = 0.5 * float(np.dot(rn, rn)) + _penalty(x_new, inst)
+        f_new = 0.5 * float(rn @ rn) + _penalty(x_new, inst)
         if not math.isfinite(f_new):
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         history.append(f_new)
 
         dx, dBx = x_new - x_cur, Bx_new - Bx_cur
-        if float(np.dot(s - x_new, dx)) > 0.0:
+        if float((s - x_new) @ dx) > 0.0:
             restarts += 1
             dx = dBx = 0.0
             alpha_prev, alpha_cur = 0.0, 1.0
