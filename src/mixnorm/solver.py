@@ -7,8 +7,10 @@ Iterates
 
 doubling L until the quadratic model at S_i dominates the objective at the
 candidate, with the extrapolation weights alpha_{-1} = 0, alpha_0 = 1,
-alpha_{i+1} = (1 + sqrt(1 + 4 alpha_i^2)) / 2.  L is carried forward and
-never decreased.  After each step the gradient-mapping restart test
+alpha_{i+1} = (1 + sqrt(1 + 4 alpha_i^2)) / 2.  The first search starts at
+L0 and every later one at 0.9 times the last accepted L, so L can fall
+back toward the local curvature (Scheinberg, Goldfarb & Bai, 2014) instead
+of keeping every overshoot of a doubling.  After each step the gradient-mapping restart test
 <S_i - X_{i+1}, X_{i+1} - X_i> > 0 (O'Donoghue & Candes, 2015) drops the
 momentum: the weights go back to alpha = (0, 1) and the previous iterate
 to X_{i+1}, so the next extrapolated point is X_{i+1} itself.  Stops when
@@ -34,6 +36,9 @@ from .model import (
 from .prox import _prox_concat
 
 _L_CAP = 1e30
+# each search starts from this fraction of the last accepted L, so L can
+# fall back toward the local curvature after a doubling or a high L0
+_L_SHRINK = 0.9
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,9 @@ class SolverConfig:
 class SolveResult:
     """Final iterate plus convergence bookkeeping.
 
-    ``backtracks`` counts the doublings of L, so L_final = L0 * 2**backtracks;
-    ``restarts`` counts the momentum resets.
+    ``L_final`` is the last accepted L.  ``backtracks`` counts the doublings
+    of L, so the prox ran iterations + backtracks times; ``restarts`` counts
+    the momentum resets.
     """
 
     solution: GroupedVector
@@ -95,16 +101,18 @@ def _backtrack(s, Bs, g, L, inst):
     the expanded form cancels to roundoff noise near convergence, where a
     spurious failure would double L forever.  The collapsed test accepts as
     soon as L reaches ||B||_2^2, so the cap only guards non-finite data.
-    Returns (x_new, B @ x_new, L).
+    Returns (x_new, B @ x_new, L, number of doublings).
     """
+    doublings = 0
     while True:
         x = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q)
         d = x - s
         Bx = inst.B @ x
         bd = Bx - Bs
         if float(bd @ bd) <= L * float(d @ d):
-            return x, Bx, L
+            return x, Bx, L, doublings
         L *= 2.0
+        doublings += 1
         if L > _L_CAP:
             raise LineSearchError(f"step-size search exceeded L = {_L_CAP:g}")
 
@@ -132,10 +140,10 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         raise DivergenceError("objective is non-finite at the starting point")
     history = [f_cur]
 
-    L = L0 = config.L0 if config.L0 is not None else default_l0(inst)
+    L_try = config.L0 if config.L0 is not None else default_l0(inst)
     alpha_prev, alpha_cur = 0.0, 1.0
     converged = False
-    stall = restarts = 0
+    stall = restarts = backtracks = 0
     for it in range(1, config.max_iters + 1):
         if alpha_prev == 0.0:
             # first step, or just restarted: no momentum, s is x_cur itself
@@ -146,7 +154,9 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
             Bs = Bx_cur + beta * dBx
         g = BT @ (Bs - Y)
 
-        x_new, Bx_new, L = _backtrack(s, Bs, g, L, inst)
+        x_new, Bx_new, L, doublings = _backtrack(s, Bs, g, L_try, inst)
+        backtracks += doublings
+        L_try = _L_SHRINK * L
         rn = Bx_new - Y
         f_new = 0.5 * float(rn @ rn) + _penalty(x_new, inst)
         if not math.isfinite(f_new):
@@ -181,8 +191,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         converged=converged,
         L_final=L,
         restarts=restarts,
-        # L changes only by exact doublings, so the ratio is a power of two
-        backtracks=round(math.log2(L / L0)),
+        backtracks=backtracks,
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
                            group_norms, objective)
 from mixnorm.oracle import reference_solve
 from mixnorm.screening import lambda_max
+from mixnorm import solver as solver_module
 from mixnorm.solver import SolverConfig, default_l0, kkt_group_residuals, solve
 
 
@@ -129,15 +132,44 @@ def test_restart_converges_fast(k):
     assert res.f_history[-1] == pytest.approx(ref.objective, rel=1e-10)
 
 
-def test_restart_and_backtrack_counters(rng):
+def test_restart_and_backtrack_counters(rng, monkeypatch):
+    # every prox call is an iteration's accepted step or one doubling of L
+    calls = []
+    prox = solver_module._prox_concat
+    monkeypatch.setattr(solver_module, "_prox_concat",
+                        lambda *args: calls.append(1) or prox(*args))
     inst = next(criterion_05_instances())
     res = solve(inst, SolverConfig(tol=1e-14, max_iters=100000))
     assert res.restarts > 0
-    assert res.L_final == default_l0(inst) * 2.0 ** res.backtracks
+    assert len(calls) == res.iterations + res.backtracks
+    calls.clear()
     small = small_instance(rng)
     res = solve(small, SolverConfig(L0=1e-3, tol=1e-10))
     assert res.backtracks > 0
-    assert res.L_final == 1e-3 * 2.0 ** res.backtracks
+    assert len(calls) == res.iterations + res.backtracks
+
+
+def test_step_size_falls_from_a_high_start(rng):
+    # each search starts below the last accepted L, so a start 1000 times
+    # the Lipschitz constant is walked down to within the doubling's factor
+    inst = small_instance(rng)
+    sigma = np.linalg.norm(inst.B, 2) ** 2
+    res = solve(inst, SolverConfig(L0=1e3 * sigma, tol=1e-10))
+    assert res.converged
+    assert res.L_final <= 2 * sigma
+
+
+def test_zero_design_converges_with_finite_step():
+    # with B = 0 every step is accepted and L only falls
+    inst = ProblemInstance(np.zeros((6, 4)), np.ones(6), GroupPartition((2, 2)), 2.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(inst, SolverConfig(tol=1e-10),
+                    x0=GroupedVector(np.arange(1.0, 5.0), inst.partition))
+    assert res.converged
+    assert 0.0 < res.L_final < np.inf
+    assert np.all(np.isfinite(res.f_history))
+    assert np.array_equal(res.solution.values, np.zeros(4))
 
 
 def test_lam_zero_reaches_least_squares(rng):
