@@ -138,7 +138,11 @@ def _path_totals(result) -> dict:
     return {"groups_kept": int(result.groups_kept.sum()),
             "screen_time": float(result.screen_times.sum()),
             "solve_time": float(result.solve_times.sum()),
-            "mean_rejection": float(result.rejection_ratios.mean())}
+            "mean_rejection": float(result.rejection_ratios.mean()),
+            "iterations": int(result.iterations.sum()),
+            "backtracks": int(result.backtracks.sum()),
+            "restarts": int(result.restarts.sum()),
+            "max_gap": float(result.gaps.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ def _cmd_solve(ns) -> int:
     _emit(ns, {
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
         "iterations": res.iterations, "converged": res.converged, "nonzero_groups": nnz,
-        "restarts": res.restarts, "backtracks": res.backtracks,
+        "restarts": res.restarts, "backtracks": res.backtracks, "gap": res.gap,
     })
     if not getattr(ns, "json", False):
         print(f"objective {res.f_history[-1]:.12g} after {res.iterations} iterations "

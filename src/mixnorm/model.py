@@ -356,6 +356,29 @@ def stacked_instance(A: np.ndarray, Y: np.ndarray, q: float, lam: float) -> Prob
     return ProblemInstance(B, Y.T.ravel(), GroupPartition((B.k,) * B.A.shape[1]), q, lam)
 
 
+def dual_feasibility_scale(inst: ProblemInstance, theta: np.ndarray) -> float:
+    """max(1, max_i ||B_i^T theta||_qbar); dividing theta by it lands in the
+    dual feasible set {theta : ||B_i^T theta||_qbar <= 1 for all i}."""
+    norms = group_norms(inst.B.T @ theta, inst.partition, dual_exponent(inst.q))
+    return max(1.0, float(norms.max()))
+
+
+def relative_gap(inst: ProblemInstance, w: np.ndarray, r: np.ndarray) -> float | None:
+    """Relative duality gap (P - D) / P at w, given its residual r = Y - B w.
+
+    The dual point is r / lam rescaled by ``dual_feasibility_scale``, that
+    is theta = r / max(lam, max_i ||B_i^T r||_qbar), and
+    D(theta) = 0.5 ||Y||^2 - 0.5 ||Y - lam theta||^2 <= P(w*).  None at
+    lam = 0, where there is no such dual bound.
+    """
+    if inst.lam == 0.0:
+        return None
+    P = 0.5 * float(r @ r) + inst.lam * float(group_norms(w, inst.partition, inst.q).sum())
+    z = r / dual_feasibility_scale(inst, r / inst.lam)  # lam * theta
+    D = float(inst.Y @ z) - 0.5 * float(z @ z)
+    return (P - D) / P if P > 0.0 else 0.0
+
+
 def objective(inst: ProblemInstance, W: GroupedVector) -> float:
     """0.5 * ||Y - B w||_2^2 + lam * mixed_norm(w)."""
     if W.partition.sizes != inst.partition.sizes:

@@ -44,8 +44,10 @@ from .model import (
     QKind,
     classify_q,
     dual_exponent,
+    dual_feasibility_scale,
     group_norms,
     lq_norm,
+    relative_gap,
 )
 from .solver import SolverConfig, solve
 
@@ -96,12 +98,6 @@ def dual_from_primal(inst: ProblemInstance, X: GroupedVector) -> DualPoint:
     theta = (inst.Y - inst.B @ X.values) / inst.lam
     theta = theta / dual_feasibility_scale(inst, theta)
     return DualPoint(theta, inst.lam)
-
-
-def dual_feasibility_scale(inst: ProblemInstance, theta: np.ndarray) -> float:
-    """max(1, max_i ||B_i^T theta||_qbar); dividing theta by it lands in F."""
-    norms = group_norms(inst.B.T @ theta, inst.partition, dual_exponent(inst.q))
-    return max(1.0, float(norms.max()))
 
 
 def group_bound_cache(inst: ProblemInstance) -> np.ndarray:
@@ -211,13 +207,19 @@ def screen_groups(inst: ProblemInstance, lam_new: float, lam_old: float,
 @dataclass
 class PathStep:
     """One penalty of a path.  ``mask`` marks the discarded groups;
-    ``converged`` is the solve's flag, and True when no solve ran."""
+    ``converged`` is the solve's flag, and True when no solve ran.  ``gap``
+    is the relative duality gap of ``solution`` on the full instance;
+    ``iterations``, ``backtracks`` and ``restarts`` are the solve's counters
+    (0 when no solve ran)."""
 
     lam: float
     mask: np.ndarray
     solution: np.ndarray
     objective: float
+    gap: float
     iterations: int
+    backtracks: int
+    restarts: int
     converged: bool
     groups_kept: int
     rejection_ratio: float
@@ -241,7 +243,10 @@ class PathResult:
 
     lambdas = _per_step("lam", "Penalty of each step.")
     objectives = _per_step("objective", "Final objective of each step.")
+    gaps = _per_step("gap", "Relative duality gap on the full instance.")
     iterations = _per_step("iterations", "Solver iterations (0 where no solve ran).")
+    backtracks = _per_step("backtracks", "Doublings of L in the solve.")
+    restarts = _per_step("restarts", "Momentum resets in the solve.")
     converged = _per_step("converged", "Solver converged flag (True where no solve ran).")
     groups_kept = _per_step("groups_kept", "Groups left after screening.")
     rejection_ratios = _per_step("rejection_ratio", "Discarded over truly zero groups.")
@@ -312,6 +317,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
     s = inst.partition.s
     prev_lam = lmax.value
     prev_x = np.zeros(inst.p)
+    prev_r = inst.Y  # the residual Y - B prev_x
     prev_mask = np.ones(s, dtype=bool)
     prev_converged = True
 
@@ -322,7 +328,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
         elif lam == prev_lam:
             mask = prev_mask.copy()
         else:
-            theta = DualPoint((inst.Y - inst.B @ prev_x) / prev_lam, prev_lam)
+            theta = DualPoint(prev_r / prev_lam, prev_lam)
             mask = screen_groups(inst, lam, prev_lam, theta, T, lmax)
         t_screen = time.perf_counter() - t0
 
@@ -330,21 +336,27 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
         x_full = np.zeros(inst.p)
         if mask.all():
             obj = 0.5 * float(np.dot(inst.Y, inst.Y))
-            iters, converged = 0, True
+            iters = backtracks = restarts = 0
+            converged = True
         else:
             sub, col_keep = reduced_instance(inst, ~mask, lam)
             res = solve(sub, solver_config, x0=GroupedVector(prev_x[col_keep], sub.partition))
             x_full[col_keep] = res.solution.values
             obj = float(res.f_history[-1])
-            iters, converged = res.iterations, res.converged
+            iters, backtracks, restarts = res.iterations, res.backtracks, res.restarts
+            converged = res.converged
         t_solve = time.perf_counter() - t0
+        r_full = inst.Y - inst.B @ x_full
 
         result.steps.append(PathStep(
             lam=float(lam),
             mask=mask,
             solution=x_full,
             objective=obj,
+            gap=relative_gap(inst.with_lam(float(lam)), x_full, r_full),
             iterations=iters,
+            backtracks=backtracks,
+            restarts=restarts,
             converged=converged,
             groups_kept=int(s - mask.sum()),
             rejection_ratio=_rejection_ratio(int(mask.sum()), x_full, inst),
@@ -353,5 +365,5 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
         ))
         # a step at or above lambda_max has theta* = Y/lam_max; store that pair
         prev_lam = min(float(lam), lmax.value)
-        prev_x, prev_mask, prev_converged = x_full, mask, converged
+        prev_x, prev_r, prev_mask, prev_converged = x_full, r_full, mask, converged
     return result

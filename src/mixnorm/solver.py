@@ -32,6 +32,7 @@ from .model import (
     ProblemInstance,
     dual_exponent,
     group_norms,
+    relative_gap,
 )
 from .prox import _prox_concat
 
@@ -68,7 +69,8 @@ class SolveResult:
 
     ``L_final`` is the last accepted L.  ``backtracks`` counts the doublings
     of L, so the prox ran iterations + backtracks times; ``restarts`` counts
-    the momentum resets.
+    the momentum resets.  ``gap`` is the relative duality gap (P - D) / P at
+    the solution (``model.relative_gap``), None at lam = 0.
     """
 
     solution: GroupedVector
@@ -78,6 +80,7 @@ class SolveResult:
     L_final: float
     restarts: int
     backtracks: int
+    gap: float | None
 
 
 def default_l0(inst: ProblemInstance) -> float:
@@ -192,6 +195,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         L_final=L,
         restarts=restarts,
         backtracks=backtracks,
+        gap=relative_gap(inst, x_cur, Y - Bx_cur),
     )
 
 

@@ -32,6 +32,19 @@ def random_instance(rng, m, p, q, lam_ratio=0.3, partition=None):
     return inst.with_lam(lam_ratio * lmax)
 
 
+def numpy_relative_gap(B, Y, w, sizes, q, lam):
+    """(P - D) / P at w with the dual point r / max(lam, max_i ||B_i^T r||_qbar),
+    r = Y - B w, group by group through numpy's own vector norms."""
+    edges = np.cumsum((0, *sizes))
+    groups = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    qbar = np.inf if q == 1 else 1.0 if q == np.inf else q / (q - 1.0)
+    r = Y - B @ w
+    P = 0.5 * r @ r + lam * sum(np.linalg.norm(w[g], q) for g in groups)
+    theta = r / max(lam, max(np.linalg.norm(B[:, g].T @ r, qbar) for g in groups))
+    D = 0.5 * Y @ Y - 0.5 * np.sum((Y - lam * theta) ** 2)
+    return (P - D) / P
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -106,6 +106,7 @@ def test_solve_writes_solution_and_json(tmp_path, rng, capsys):
     assert info["converged"] is True
     assert 0 < info["lambda"] < info["lambda_max"]
     assert all(isinstance(info[k], int) and info[k] >= 0 for k in ("restarts", "backtracks"))
+    assert 0 <= info["gap"] <= 1e-4
     sol = csvio.read_vector(out)
     assert sol.shape == (24,)
 
@@ -167,6 +168,10 @@ def test_json_totals_match_step_reports(tmp_path, rng, capsys):
         assert info["mean_rejection"] == pytest.approx(rr.mean(), abs=1e-6)
         assert info["screen_time"] == pytest.approx(t_screen.sum(), rel=1e-4, abs=1e-5)
         assert info["solve_time"] == pytest.approx(t_solve.sum(), rel=1e-4, abs=1e-5)
+        assert 0 <= info["max_gap"] <= 1e-4
+        assert info["iterations"] > 0
+        assert all(isinstance(info[k], int) and info[k] >= 0 for k in ("restarts", "backtracks"))
+    assert path_info["iterations"] == int(stats[:, 3].sum())
 
 
 def test_path_and_screen_agree_above_one(tmp_path, rng):

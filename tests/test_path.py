@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import numpy_relative_gap, random_instance
 from mixnorm.errors import InvalidParameterError
 from mixnorm.model import (ZERO_GROUP_NORM, GroupPartition, GroupedVector,
                            ProblemInstance, group_norms)
@@ -81,6 +81,9 @@ def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
         res = solve(inst.with_lam(r * lmax), config, x0=x)
         x = res.solution
         assert out.iterations[i] == res.iterations
+        assert out.backtracks[i] == res.backtracks
+        assert out.restarts[i] == res.restarts
+        assert out.gaps[i] == res.gap
         assert out.objectives[i] == res.f_history[-1]
         assert np.array_equal(out.solutions[i], res.solution.values)
     assert out.iterations[0] > 0
@@ -100,6 +103,21 @@ def test_path_steps_report_convergence(rng):
     assert capped.unconverged_steps == 2
     done = run_path(inst, PathSpec(ratios=ratios, solver=SolverConfig(tol=1e-10)))
     assert done.converged.all() and done.unconverged_steps == 0
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, np.inf])
+def test_path_step_gap_is_taken_on_the_full_instance(q, rng):
+    # the gap certifies x_full against every group, the discarded ones too
+    inst = random_instance(rng, 16, 24, q).with_lam(0.0)
+    sizes = inst.partition.sizes
+    for config in (SolverConfig(max_iters=4), SolverConfig(tol=1e-12)):
+        out = run_path(inst, PathSpec(ratios=(1.0, 0.7, 0.5, 0.3), screening=True,
+                                      solver=config))
+        for st in out.steps:
+            want = numpy_relative_gap(inst.B, inst.Y, st.solution, sizes, q, st.lam)
+            assert st.gap == pytest.approx(want, rel=1e-6, abs=1e-12)
+    assert out.gaps.max() <= 1e-6
+    assert out.iterations[0] == out.backtracks[0] == out.restarts[0] == 0
 
 
 def test_step_after_unconverged_solve_discards_nothing(rng):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import numpy_relative_gap, random_instance
 from mixnorm.errors import DivergenceError, InvalidParameterError
 from mixnorm.model import (GroupPartition, GroupedVector, ProblemInstance,
                            group_norms, objective)
@@ -170,6 +170,19 @@ def test_zero_design_converges_with_finite_step():
     assert 0.0 < res.L_final < np.inf
     assert np.all(np.isfinite(res.f_history))
     assert np.array_equal(res.solution.values, np.zeros(4))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, np.inf])
+def test_reported_gap_matches_numpy(q, rng):
+    inst = random_instance(rng, 18, 24, q, lam_ratio=0.35)
+    sizes = inst.partition.sizes
+    early = solve(inst, SolverConfig(max_iters=3))
+    want = numpy_relative_gap(inst.B, inst.Y, early.solution.values, sizes, q, inst.lam)
+    assert want > 1e-4
+    assert early.gap == pytest.approx(want, rel=1e-6)
+    done = solve(inst, SolverConfig(tol=1e-12, max_iters=30000))
+    assert -1e-12 <= done.gap <= 1e-6
+    assert solve(inst.with_lam(0.0), SolverConfig(max_iters=3)).gap is None
 
 
 def test_lam_zero_reaches_least_squares(rng):
