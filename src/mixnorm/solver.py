@@ -10,12 +10,12 @@ candidate, with the extrapolation weights alpha_{-1} = 0, alpha_0 = 1,
 alpha_{i+1} = (1 + sqrt(1 + 4 alpha_i^2)) / 2.  The first search starts at
 L0 and every later one at 0.9 times the last accepted L, so L can fall
 back toward the local curvature (Scheinberg, Goldfarb & Bai, 2014) instead
-of keeping every overshoot of a doubling.  After each step the gradient-mapping restart test
-<S_i - X_{i+1}, X_{i+1} - X_i> > 0 (O'Donoghue & Candes, 2015) drops the
-momentum: the weights go back to alpha = (0, 1) and the previous iterate
-to X_{i+1}, so the next extrapolated point is X_{i+1} itself.  Stops when
-the objective change falls below tol * max(1, |f|), or at the iteration
-cap.
+of keeping every overshoot of a doubling.  After each step the
+gradient-mapping restart test <S_i - X_{i+1}, X_{i+1} - X_i> > 0
+(O'Donoghue & Candes, 2015) drops the momentum: the weights go back to
+alpha = (0, 1) and the previous iterate to X_{i+1}, so the next
+extrapolated point is X_{i+1} itself.  Stops when the objective change
+falls below tol * max(1, |f|), or at the iteration cap.
 """
 
 from __future__ import annotations
