@@ -18,7 +18,7 @@ import numpy as np
 
 from . import csvio
 from .errors import InputError, MixnormError
-from .model import ProblemInstance, group_norms
+from .model import ZERO_GROUP_NORM, ProblemInstance, group_norms
 from .path import (PathSpec, geometric_ratios, linear_ratios, run_path,
                    stacked_instance)
 from .prox import ProxParams, prox_group
@@ -115,6 +115,8 @@ def _read_config(path: str) -> list[str]:
 
 
 def _load_instance(ns, q: float, lam: float = 0.0) -> ProblemInstance:
+    if not (ns.matrix and ns.response and ns.groups):
+        raise _UsageError(f"{ns.command} needs --matrix, --response and --groups")
     B = csvio.read_matrix(ns.matrix)
     Y = csvio.read_vector(ns.response)
     part = csvio.read_group_sizes(ns.groups)
@@ -128,9 +130,12 @@ def _resolve_lambda(inst: ProblemInstance, ns) -> tuple[float, float]:
     return float(ns.ratio) * lmax, lmax
 
 
-def _emit(ns, summary: dict) -> None:
-    if getattr(ns, "json", False):
+def _emit(ns, summary: dict, text: str | None = None) -> None:
+    """The JSON summary under --json, else the text, if there is one."""
+    if ns.json:
         print(json.dumps(summary, sort_keys=True))
+    elif text is not None:
+        print(text)
 
 
 def _path_totals(result) -> dict:
@@ -168,15 +173,14 @@ def _cmd_solve(ns) -> int:
         _with_file(ns.out, "w", lambda f: csvio.write_vector(f, res.solution.values))
     if ns.history:
         _with_file(ns.history, "w", lambda f: csvio.write_vector(f, res.f_history))
-    nnz = int(np.count_nonzero(group_norms(res.solution.values, inst.partition, inst.q) > 1e-10))
+    norms = group_norms(res.solution.values, inst.partition, inst.q)
+    nnz = int(np.count_nonzero(norms > ZERO_GROUP_NORM))
     _emit(ns, {
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
         "iterations": res.iterations, "converged": res.converged, "nonzero_groups": nnz,
         "restarts": res.restarts, "backtracks": res.backtracks, "gap": res.gap,
-    })
-    if not getattr(ns, "json", False):
-        print(f"objective {res.f_history[-1]:.12g} after {res.iterations} iterations "
-              f"({nnz} active groups)")
+    }, f"objective {res.f_history[-1]:.12g} after {res.iterations} iterations "
+       f"({nnz} active groups)")
     return 0
 
 
@@ -211,19 +215,20 @@ def _parse_synth_file(path: str) -> tuple[str, SynthSpec]:
     return preset, SynthSpec(**fields)
 
 
+def _synth_instance(preset: str, sspec: SynthSpec, q: float):
+    """(instance, X_true) a preset draws from sspec; X_true is None for screening data."""
+    if preset == "screening":
+        return gen_screening_instance(sspec, q=q), None
+    if preset == "joint-sparse":
+        A, X_true, Y = gen_joint_sparse(sspec)
+        return stacked_instance(A, Y, q, 0.0), X_true
+    raise InputError(f"unknown preset {preset!r}")
+
+
 def _cmd_path(ns) -> int:
     if ns.synthetic:
-        preset, sspec = _parse_synth_file(ns.synthetic)
-        if preset == "screening":
-            inst = gen_screening_instance(sspec, q=ns.q)
-        elif preset == "joint-sparse":
-            A, _, Y = gen_joint_sparse(sspec)
-            inst = stacked_instance(A, Y, ns.q, 0.0)
-        else:
-            raise InputError(f"unknown preset {preset!r}")
+        inst, _ = _synth_instance(*_parse_synth_file(ns.synthetic), ns.q)
     else:
-        if not (ns.matrix and ns.response and ns.groups):
-            raise _UsageError("path needs --matrix/--response/--groups or --synthetic")
         inst = _load_instance(ns, ns.q)
 
     if ns.grid == "linear91":
@@ -258,44 +263,37 @@ def _cmd_path(ns) -> int:
         f"screening {'on' if result.screening else 'off'}\n"
         f"total_solve_time {result.solve_times.sum():.6g}\n"
         f"total_screen_time {result.screen_times.sum():.6g}\n"
-        f"wall_time {wall:.6g}\n"
+        f"wall_time {wall:.6g}"
     )
-    (outdir / "summary.txt").write_text(summary)
-    if ns.save_solutions and result.solutions is not None:
+    (outdir / "summary.txt").write_text(summary + "\n")
+    if ns.save_solutions:
         for i, sol in enumerate(result.solutions):
             csvio.write_vector(outdir / f"solution_{i:03d}.csv", sol)
     _emit(ns, {"points": len(result.steps), "lambda_max": result.lam_max,
                "screening": result.screening, "wall_time": wall,
-               "unconverged_steps": result.unconverged_steps, **_path_totals(result)})
-    if not getattr(ns, "json", False):
-        print(summary, end="")
+               "unconverged_steps": result.unconverged_steps, **_path_totals(result)},
+          summary)
     return 0
 
 
 def _cmd_gen(ns) -> int:
     outdir = Path(ns.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if ns.preset == "joint-sparse":
-        sspec = SynthSpec(m=ns.m, d=ns.d, k=ns.k, d_tilde=ns.dtilde, sigma=ns.sigma,
-                          entry_dist=ns.dist, seed=ns.seed)
-        A, X_true, Y = gen_joint_sparse(sspec)
-        inst = stacked_instance(A, Y, 2.0, 0.0)
-        B = inst.B.toarray()
-        csvio.write_matrix(outdir / "X_true.csv", X_true)
+    sspec = SynthSpec(m=ns.m, d=ns.d, k=ns.k, d_tilde=ns.dtilde, sigma=ns.sigma,
+                      entry_dist=ns.dist, num_groups=ns.groups_n, corr_range=ns.corr,
+                      seed=ns.seed)
+    inst, X_true = _synth_instance(ns.preset, sspec, 2.0)
+    if X_true is None:
+        csvio.write_matrix(outdir / "B.csv", inst.B)
     else:
-        # the screening design ignores d_tilde; clamp it so small --d works
-        sspec = SynthSpec(m=ns.m, d=ns.d, d_tilde=min(ns.dtilde, ns.d),
-                          num_groups=ns.groups_n, seed=ns.seed, corr_range=ns.corr)
-        inst = gen_screening_instance(sspec)
-        B = inst.B
-    csvio.write_matrix(outdir / "B.csv", B)
+        csvio.write_matrix(outdir / "X_true.csv", X_true)
+        csvio.write_matrix(outdir / "B.csv", inst.B.toarray())
     csvio.write_vector(outdir / "Y.csv", inst.Y)
     csvio.write_group_sizes(outdir / "groups.txt", inst.partition)
     shape = {"m": inst.m, "p": inst.p, "groups": inst.partition.s}
-    _emit(ns, {"preset": ns.preset, "seed": ns.seed, **shape})
-    if not getattr(ns, "json", False):
-        print(f"wrote {ns.preset} data to {outdir} ({shape['m']}x{shape['p']}, "
-              f"{shape['groups']} groups)")
+    _emit(ns, {"preset": ns.preset, "seed": ns.seed, **shape},
+          f"wrote {ns.preset} data to {outdir} ({shape['m']}x{shape['p']}, "
+          f"{shape['groups']} groups)")
     return 0
 
 
@@ -306,8 +304,6 @@ def _cmd_oracle(ns) -> int:
         x = prox_oracle_grid(v, ns.lam, ns.q, resolution=ns.resolution)
         _write_text(ns.out, csvio.format_vector_line(x))
         return 0
-    if not (ns.matrix and ns.response and ns.groups):
-        raise _UsageError("refsolve needs --matrix/--response/--groups")
     inst = _load_instance(ns, ns.q, ns.lam)
     ref = reference_solve(inst, tol=ns.tol, max_iters=ns.max_iters)
     _write_text(ns.out, csvio.format_vector_line(ref.solution.values))
@@ -317,6 +313,11 @@ def _cmd_oracle(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def _add_data_files(sp, required: bool) -> None:
+    for flag in ("--matrix", "--response", "--groups"):
+        sp.add_argument(flag, required=required)
+
 
 def _add_common(sp) -> None:
     sp.add_argument("--json", action="store_true", help="print a JSON summary")
@@ -337,9 +338,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_prox)
 
     p = sub.add_parser("solve", help="solve one instance")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--groups", required=True)
+    _add_data_files(p, required=True)
     p.add_argument("--q", type=float, default=2.0)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=float)
@@ -353,9 +352,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("screen", help="sequential screening down a ratio grid")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--groups", required=True)
+    _add_data_files(p, required=True)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--ratios", required=True,
                    help="'r1,r2,...' or 'start:stop:count'")
@@ -365,9 +362,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_screen)
 
     p = sub.add_parser("path", help="regularization path with optional screening")
-    p.add_argument("--matrix")
-    p.add_argument("--response")
-    p.add_argument("--groups")
+    _add_data_files(p, required=False)
     p.add_argument("--synthetic", help="synthetic data spec file (key=value)")
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--grid", default="linear91",
@@ -403,9 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", type=float, default=0.05)
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-", help="output file or - for stdout")
-    p.add_argument("--matrix")
-    p.add_argument("--response")
-    p.add_argument("--groups")
+    _add_data_files(p, required=False)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iters", type=int, default=200000)
     _add_common(p)

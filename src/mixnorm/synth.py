@@ -24,7 +24,8 @@ class SynthSpec:
 
     ``d`` is the predictor count for the joint-sparse recipe and the total
     column count for the screening recipe.  ``entry_dist`` picks the law of
-    the nonzero true coefficients.
+    the nonzero true coefficients.  ``d_tilde <= d`` is checked by
+    ``gen_joint_sparse``, the only recipe that reads ``d_tilde``.
     """
 
     m: int = 100
@@ -40,8 +41,6 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.m, self.d, self.k) < 1 or self.d_tilde < 0 or self.num_groups < 1:
             raise InvalidParameterError("sizes must be positive (d_tilde may be 0)")
-        if self.d_tilde > self.d:
-            raise InvalidParameterError("d_tilde cannot exceed d")
         if self.sigma < 0:
             raise InvalidParameterError("sigma must be nonnegative")
         if self.entry_dist not in ("uniform01", "standard_normal"):
@@ -61,6 +60,8 @@ def gen_joint_sparse(spec: SynthSpec):
 
     The first d_tilde rows of X_true are nonzero; Y = A X_true + sigma * Z.
     """
+    if spec.d_tilde > spec.d:
+        raise InvalidParameterError("d_tilde cannot exceed d")
     rng = np.random.default_rng(spec.seed)
     A = rng.standard_normal((spec.m, spec.d))
     X = np.zeros((spec.d, spec.k))

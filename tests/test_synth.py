@@ -50,7 +50,7 @@ def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         SynthSpec(m=0)
     with pytest.raises(InvalidParameterError):
-        SynthSpec(d_tilde=300, d=200)
+        gen_joint_sparse(SynthSpec(d_tilde=300, d=200))
     with pytest.raises(InvalidParameterError):
         SynthSpec(sigma=-0.1)
     with pytest.raises(InvalidParameterError):
