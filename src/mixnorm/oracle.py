@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import InvalidParameterError, OracleSizeError
+from .errors import InputError, InvalidParameterError, OracleSizeError
 from .model import (
     GroupPartition,
     GroupedVector,
@@ -59,8 +59,12 @@ def prox_oracle_grid(v, lam: float, q: float, resolution: float = 0.25) -> np.nd
     if n > 4:
         raise OracleSizeError(f"grid oracle enumerates n <= 4 dimensions, got {n}")
     classify_q(q)
-    if lam < 0:
-        raise InvalidParameterError("lam must be nonnegative")
+    if not np.isfinite(v).all():
+        raise InputError("grid oracle input contains non-finite entries")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InvalidParameterError(f"lam must be finite and nonnegative, got {lam!r}")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise InvalidParameterError(f"resolution must be finite and positive, got {resolution!r}")
     if n == 0 or not np.any(v):
         return np.zeros_like(v)
 
@@ -274,9 +278,13 @@ def reference_solve(inst: ProblemInstance, tol: float = 1e-12, max_iters: int = 
     caller decides what to do).  Serves as the ground-truth objective for
     validating the accelerated solver; shares none of its code path.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol!r}")
+    if max_iters < 1:
+        raise InvalidParameterError("max_iters must be at least 1")
     B, Y, lam, q = inst.B, inst.Y, inst.lam, inst.q
+    if not (np.isfinite(B).all() and np.isfinite(Y).all()):
+        raise InputError("reference solve needs finite design and response entries")
     sigma = float(np.linalg.norm(B, 2)) ** 2
     tau = 0.9 / sigma if sigma > 0 else 1.0
     x = np.zeros(inst.p) if x0 is None else np.asarray(x0, dtype=np.float64).ravel().copy()

@@ -41,8 +41,8 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.m, self.d, self.k) < 1 or self.d_tilde < 0 or self.num_groups < 1:
             raise InvalidParameterError("sizes must be positive (d_tilde may be 0)")
-        if self.sigma < 0:
-            raise InvalidParameterError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidParameterError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if self.entry_dist not in ("uniform01", "standard_normal"):
             raise InvalidParameterError(f"unknown entry_dist {self.entry_dist!r}")
         lo, hi = self.corr_range

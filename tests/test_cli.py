@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,21 @@ def test_gen_then_solve(tmp_path, capsys):
     assert csvio.read_matrix(outdir / "X_true.csv").shape == (15, 3)
 
 
+def run_matrix_and_synthetic_paths(tmp_path, capsys, datadir, spec_text, path_args):
+    """path on the files gen wrote to datadir and on a --synthetic file;
+    {"matrix": (json, stats), "synthetic": (json, stats)}."""
+    spec = tmp_path / "synth.txt"
+    spec.write_text(spec_text)
+    capsys.readouterr()
+    runs = {}
+    for name, src in (("matrix", data_args(datadir)), ("synthetic", ["--synthetic", str(spec)])):
+        code = main(["path", *src, *path_args, "--json", "--out-dir", str(tmp_path / name)])
+        assert code == 0
+        runs[name] = (json.loads(capsys.readouterr().out),
+                      np.loadtxt(tmp_path / name / "stats.csv", delimiter=",", skiprows=1))
+    return runs
+
+
 def test_gen_joint_sparse_paths_agree(tmp_path, capsys):
     # gen writes the dense stacked design; path reads it back as a plain
     # matrix, while path --synthetic builds the matrix-free form
@@ -246,20 +262,51 @@ def test_gen_joint_sparse_paths_agree(tmp_path, capsys):
         assert np.array_equal(B[12 * t:12 * (t + 1), t::3], A)
     assert np.count_nonzero(B) == np.count_nonzero(A) * 3
     assert np.array_equal(csvio.read_vector(outdir / "Y.csv"), Y.T.ravel())
-    spec = tmp_path / "synth.txt"
-    spec.write_text("preset=joint-sparse\nm=12\nd=15\nk=3\nd_tilde=4\nseed=3\n")
-    path_args = ["--q", "1.5", "--grid", "custom:1.0,0.8,0.6,0.4", "--screening", "on",
-                 "--tol", "1e-12", "--json"]
-    capsys.readouterr()
-    runs = {}
-    for name, src in (("matrix", data_args(outdir)), ("synthetic", ["--synthetic", str(spec)])):
-        code = main(["path", *src, *path_args, "--out-dir", str(tmp_path / name)])
-        assert code == 0
-        runs[name] = (json.loads(capsys.readouterr().out),
-                      np.loadtxt(tmp_path / name / "stats.csv", delimiter=",", skiprows=1))
+    runs = run_matrix_and_synthetic_paths(
+        tmp_path, capsys, outdir, "preset=joint-sparse\nm=12\nd=15\nk=3\nd_tilde=4\nseed=3\n",
+        ["--q", "1.5", "--grid", "custom:1.0,0.8,0.6,0.4", "--screening", "on", "--tol", "1e-12"])
     (info_m, stats_m), (info_s, stats_s) = runs["matrix"], runs["synthetic"]
     assert info_m["lambda_max"] == pytest.approx(info_s["lambda_max"], rel=1e-10)
     assert np.allclose(stats_m[:, 2], stats_s[:, 2], rtol=1e-10, atol=0.0)
+
+
+def test_gen_screening_paths_agree_below_default_d_tilde(tmp_path, capsys):
+    # the screening recipe never reads d_tilde, so d = 12 (below the default
+    # d_tilde of 50) works in a --synthetic file as it does in gen
+    outdir = tmp_path / "data"
+    assert main(["gen", "--preset", "screening", "--m", "10", "--d", "12", "--groups-n", "3",
+                 "--out-dir", str(outdir)]) == 0
+    runs = run_matrix_and_synthetic_paths(
+        tmp_path, capsys, outdir, "preset=screening\nm=10\nd=12\nnum_groups=3\n",
+        ["--grid", "custom:1.0,0.7,0.4,0.2", "--screening", "on", "--tol", "1e-12"])
+    (_, stats_m), (_, stats_s) = runs["matrix"], runs["synthetic"]
+    assert len(stats_m) == 4
+    # stats: lambda,ratio,objective,iterations,groups_kept,...
+    assert np.allclose(stats_m[:, 0], stats_s[:, 0], rtol=1e-10, atol=0.0)
+    assert np.allclose(stats_m[:, 2], stats_s[:, 2], rtol=1e-10, atol=0.0)
+    assert np.array_equal(stats_m[:, 4], stats_s[:, 4])
+
+
+def test_text_or_json_on_stdout(tmp_path, capsys):
+    # without --json each command prints its text, with it one JSON line
+    data = tmp_path / "data"
+    gen = ["gen", "--preset", "screening", "--m", "10", "--d", "12", "--groups-n", "3",
+           "--out-dir", str(data)]
+    solve_argv = ["solve", *data_args(data), "--ratio", "0.5"]
+    path_argv = ["path", *data_args(data), "--grid", "custom:0.9,0.5",
+                 "--out-dir", str(tmp_path / "run")]
+    assert main(gen) == 0
+    assert capsys.readouterr().out == f"wrote screening data to {data} (10x12, 3 groups)\n"
+    assert main(solve_argv) == 0
+    assert re.fullmatch(r"objective \S+ after \d+ iterations \(\d+ active groups\)\n",
+                        capsys.readouterr().out)
+    assert main(path_argv) == 0
+    assert capsys.readouterr().out == (tmp_path / "run" / "summary.txt").read_text()
+    for argv in (gen, solve_argv, path_argv):
+        assert main([*argv, "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)
 
 
 def test_gen_corr_accepts_negative_range(tmp_path):
@@ -375,11 +422,30 @@ def test_exit_codes(tmp_path, capsys):
     ("abbreviated_config", 1),
     ("gen_corr", 1),
     ("refsolve_data", 1),
+    ("grid_resolution_zero", 2),
+    ("grid_resolution_nan", 2),
+    ("grid_resolution_negative", 2),
+    ("grid_input_nan", 2),
+    ("grid_lambda_nan", 2),
+    ("refsolve_design_nan", 2),
+    ("refsolve_tol_nan", 2),
+    ("refsolve_max_iters_zero", 2),
+    ("gen_sigma_nan", 2),
+    ("gen_sigma_inf", 2),
 ])
 def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
     spec = tmp_path / "synth.txt"
     spec.write_text("preset=screening\nm=abc\n")
+    vec, vec_nan = tmp_path / "v.txt", tmp_path / "v_nan.txt"
+    vec.write_text("1, 3")
+    vec_nan.write_text("1, nan")
+    B = csvio.read_matrix(tmp_path / "B.csv")
+    B[0, 0] = np.nan
+    csvio.write_matrix(tmp_path / "B_nan.csv", B)
+    grid = ["oracle", "--mode", "grid-prox", "--q", "2"]
+    refsolve = ["oracle", "--mode", "refsolve", *data_args(tmp_path), "--q", "2",
+                "--lambda", "1"]
     argv = {
         "screen_ratios": ["screen", *data_args(tmp_path), "--ratios", "abc"],
         "screen_ratios_inf": ["screen", *data_args(tmp_path), "--ratios", "inf,0.5"],
@@ -395,6 +461,19 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
         "gen_corr": ["gen", "--preset", "screening", "--corr", "0.5",
                      "--out-dir", str(tmp_path / "out")],
         "refsolve_data": ["oracle", "--mode", "refsolve", "--q", "2", "--lambda", "1"],
+        "grid_resolution_zero": [*grid, "--lambda", "1", "--in", str(vec), "--resolution", "0"],
+        "grid_resolution_nan": [*grid, "--lambda", "1", "--in", str(vec), "--resolution", "nan"],
+        "grid_resolution_negative": [*grid, "--lambda", "1", "--in", str(vec),
+                                     "--resolution", "-1"],
+        "grid_input_nan": [*grid, "--lambda", "1", "--in", str(vec_nan)],
+        "grid_lambda_nan": [*grid, "--lambda", "nan", "--in", str(vec)],
+        "refsolve_design_nan": [*refsolve, "--matrix", str(tmp_path / "B_nan.csv")],
+        "refsolve_tol_nan": [*refsolve, "--tol", "nan"],
+        "refsolve_max_iters_zero": [*refsolve, "--max-iters", "0"],
+        "gen_sigma_nan": ["gen", "--preset", "joint-sparse", "--sigma", "nan",
+                          "--out-dir", str(tmp_path / "out")],
+        "gen_sigma_inf": ["gen", "--preset", "joint-sparse", "--sigma", "inf",
+                          "--out-dir", str(tmp_path / "out")],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err
