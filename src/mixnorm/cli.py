@@ -277,12 +277,12 @@ def _cmd_path(ns) -> int:
 
 
 def _cmd_gen(ns) -> int:
-    outdir = Path(ns.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     sspec = SynthSpec(m=ns.m, d=ns.d, k=ns.k, d_tilde=ns.dtilde, sigma=ns.sigma,
                       entry_dist=ns.dist, num_groups=ns.groups_n, corr_range=ns.corr,
                       seed=ns.seed)
     inst, X_true = _synth_instance(ns.preset, sspec, 2.0)
+    outdir = Path(ns.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     if X_true is None:
         csvio.write_matrix(outdir / "B.csv", inst.B)
     else:

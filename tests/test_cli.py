@@ -290,19 +290,19 @@ def test_gen_screening_paths_agree_below_default_d_tilde(tmp_path, capsys):
 def test_text_or_json_on_stdout(tmp_path, capsys):
     # without --json each command prints its text, with it one JSON line
     data = tmp_path / "data"
-    gen = ["gen", "--preset", "screening", "--m", "10", "--d", "12", "--groups-n", "3",
-           "--out-dir", str(data)]
+    gen_argv = ["gen", "--preset", "screening", "--m", "10", "--d", "12", "--groups-n", "3",
+                "--out-dir", str(data)]
     solve_argv = ["solve", *data_args(data), "--ratio", "0.5"]
     path_argv = ["path", *data_args(data), "--grid", "custom:0.9,0.5",
                  "--out-dir", str(tmp_path / "run")]
-    assert main(gen) == 0
+    assert main(gen_argv) == 0
     assert capsys.readouterr().out == f"wrote screening data to {data} (10x12, 3 groups)\n"
     assert main(solve_argv) == 0
     assert re.fullmatch(r"objective \S+ after \d+ iterations \(\d+ active groups\)\n",
                         capsys.readouterr().out)
     assert main(path_argv) == 0
     assert capsys.readouterr().out == (tmp_path / "run" / "summary.txt").read_text()
-    for argv in (gen, solve_argv, path_argv):
+    for argv in (gen_argv, solve_argv, path_argv):
         assert main([*argv, "--json"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
@@ -432,6 +432,7 @@ def test_exit_codes(tmp_path, capsys):
     ("refsolve_max_iters_zero", 2),
     ("gen_sigma_nan", 2),
     ("gen_sigma_inf", 2),
+    ("gen_d_tilde", 2),
 ])
 def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
@@ -474,6 +475,8 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
                           "--out-dir", str(tmp_path / "out")],
         "gen_sigma_inf": ["gen", "--preset", "joint-sparse", "--sigma", "inf",
                           "--out-dir", str(tmp_path / "out")],
+        "gen_d_tilde": ["gen", "--preset", "joint-sparse", "--d", "5",
+                        "--out-dir", str(tmp_path / "out")],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err
@@ -481,6 +484,9 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     if case in ("screen_ratios_inf", "screen_ratios_nan"):
         # rejected by the ratio rule, not by a later step
         assert "ratio sequence" in err
+    if argv[0] == "gen":
+        # a rejected spec leaves no output directory behind
+        assert not (tmp_path / "out").exists()
 
 
 def src_env() -> dict:

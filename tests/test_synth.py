@@ -51,7 +51,9 @@ def test_spec_validation():
         SynthSpec(m=0)
     with pytest.raises(InvalidParameterError):
         gen_joint_sparse(SynthSpec(d_tilde=300, d=200))
-    for sigma in (-0.1, float("nan"), float("inf")):
+    with pytest.raises(InvalidParameterError):
+        SynthSpec(sigma=-0.1)
+    for sigma in (float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError):
             SynthSpec(sigma=sigma)
     with pytest.raises(InvalidParameterError):
