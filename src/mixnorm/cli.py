@@ -147,6 +147,7 @@ def _path_totals(result) -> dict:
             "iterations": int(result.iterations.sum()),
             "backtracks": int(result.backtracks.sum()),
             "restarts": int(result.restarts.sum()),
+            "prox_sweeps": int(result.prox_sweeps.sum()),
             "max_gap": float(result.gaps.max())}
 
 
@@ -178,7 +179,8 @@ def _cmd_solve(ns) -> int:
     _emit(ns, {
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
         "iterations": res.iterations, "converged": res.converged, "nonzero_groups": nnz,
-        "restarts": res.restarts, "backtracks": res.backtracks, "gap": res.gap,
+        "restarts": res.restarts, "backtracks": res.backtracks,
+        "prox_sweeps": res.prox_sweeps, "gap": res.gap,
     }, f"objective {res.f_history[-1]:.12g} after {res.iterations} iterations "
        f"({nnz} active groups)")
     return 0

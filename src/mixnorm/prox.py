@@ -29,10 +29,23 @@ failed to halve |phi|, is replaced by bisection at the geometric
 midpoint.  The roots at the bracket ends are cached: x_i(c) is strictly
 decreasing in c, so they sandwich the root at any interior c and bracket
 the inner solves, which are Newton steps safeguarded by bisection inside
-that bracket.  All general-q groups
-of a vector are solved in one lock-step batch; each group freezes
-independently once its own stopping rule fires, so batched results match
-solo calls.
+that bracket.
+
+The bracket opens cold at the analytic ends, or warm from a guess at the
+answer (the solver passes its current iterate).  A group is warm when the
+guess is nonzero on all of it and c0 = lam * ||guess||_q^(1-q) lies
+inside the analytic bracket: it is swept at c0, with the inner roots
+started from the guess, and again just past the Newton point from c0 (by
+3 step^2 / c0, which bounds that step's error, plus 64 ulps).  The two
+sweeps open the bracket only if phi changes sign between them on every
+warm group; otherwise the call starts over cold, sign check included.
+Both starts feed the one bracketed-Newton loop, which also stops a group
+at phi's rounding floor: once a step fails to halve |phi| and is at most
+256 ulps of c.  Newton closes in on c* from one side, so bisecting there
+would walk the far end of the bracket, still the analytic one, in over
+decades.  All general-q groups of a vector are solved in one lock-step
+batch; each group freezes independently once its own stopping rule fires,
+so batched results match solo calls.
 """
 
 from __future__ import annotations
@@ -57,6 +70,12 @@ _MAX_OUTER = 400
 _MAX_INNER = 80
 # Four ulps of 1.0: the rounding floor used by the stopping tests.
 _EPS4 = 4.0 * np.finfo(np.float64).eps
+# a warm start's second sweep lands this many ulps of c0 past the Newton
+# point, on top of the step's error bound
+_WARM_ULPS = 64.0 * np.finfo(np.float64).eps
+# a Newton step on phi this many ulps of c long, after one that failed to
+# halve |phi|, is at phi's rounding floor
+_FLOOR_ULPS = 256.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -187,13 +206,57 @@ def _dlog_psi(x, c, starts, rep_sizes, q):
     return (q - 1.0) * np.power(gmax, q - 2.0) * num / den
 
 
-def _general_q_batch(v, sizes, lam, q):
+def _start_points(v, sizes, starts, lam, q, c_lo, c_hi, warm, c0, guess):
+    """The two sweeps that open the outer zero find, on every group at once.
+
+    A cold group is swept at the analytic ends c_lo and c_hi.  A warm group
+    is swept at c0 = lam * psi(guess), with the inner roots started from
+    the guess, and then just past the Newton point from c0: by the step's
+    own error bound, 3 step^2 / c0, plus a few ulps, and no further than
+    the analytic ends.  Returns, per group, the smaller c of the two with
+    its phi and roots, then the larger c with its phi and roots.
+    """
+    any_warm = warm.any()
+    warm_c = np.repeat(warm, sizes)
+    c1 = np.where(warm, c0, c_lo)
+    c1_rep = np.repeat(c1, sizes)
+    with np.errstate(over="ignore", divide="ignore"):
+        x0 = np.power(v / c1_rep, 1.0 / (q - 1.0))
+    if any_warm:
+        x0 = np.where(warm_c, guess, x0)
+    x1 = _h_roots(v, c1_rep, q, np.zeros_like(v), v, x0=x0)
+    lam_psi = lam * _psi(x1, starts, sizes, q)
+    phi1 = lam_psi - c1
+    c2 = c_hi
+    if any_warm:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = phi1 / (lam_psi * _dlog_psi(x1, c1_rep, starts, sizes, q) - 1.0)
+            past = c1 - step - np.sign(step) * (3.0 * step * step / c1 + _WARM_ULPS * c1)
+        # fmin/fmax drop a NaN step in favour of the analytic end
+        c2 = np.where(warm, np.fmax(c_lo, np.fmin(past, c_hi)), c_hi)
+    c2_rep = np.repeat(c2, sizes)
+    # x(c) decreases in c, so x1 bounds the roots at c2 from one side
+    down = c2_rep >= c1_rep
+    with np.errstate(over="ignore", divide="ignore"):
+        x0 = np.where(warm_c, x1, np.power(v / c2_rep, 1.0 / (q - 1.0)))
+    x2 = _h_roots(v, c2_rep, q, np.where(down, 0.0, x1), np.where(down, x1, v), x0=x0)
+    phi2 = lam * _psi(x2, starts, sizes, q) - c2
+    swap, swap_c = c2 < c1, ~down
+    return (np.where(swap, c2, c1), np.where(swap, phi2, phi1), np.where(swap_c, x2, x1),
+            np.where(swap, c1, c2), np.where(swap, phi1, phi2), np.where(swap_c, x1, x2))
+
+
+def _general_q_batch(v, sizes, lam, q, guess=None):
     """Solve the general-q prox for every group of the concatenated positive
     vector ``v`` (group g occupies sizes[g] consecutive entries).
 
     Preconditions (caller-enforced): all entries strictly positive and
-    finite, and lam < ||v_g||_qbar for every group g.  Returns the positive
-    minimizers, concatenated the same way.
+    finite, and lam < ||v_g||_qbar for every group g.  ``guess``, laid out
+    like ``v``, is an estimate of the minimizer's magnitudes; a group
+    starts warm from it when it is positive on the whole group and its c0
+    lies inside the analytic bracket.  Returns the positive minimizers,
+    concatenated the same way, and the number of sweeps (``_h_roots``
+    calls) taken.
     """
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     qbar = q / (q - 1.0)
@@ -217,15 +280,25 @@ def _general_q_batch(v, sizes, lam, q):
     c_hi = np.where(np.isfinite(c_hi), c_hi, c_cap)
     if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
         raise BracketError("outer bracket overflowed; inputs out of numerical range")
-
-    # roots at the bracket endpoints seed the inner bracket cache:
-    # x_hi holds the roots at c_lo and x_lo the roots at c_hi
-    x_hi = _h_roots(v, np.repeat(c_lo, sizes), q, np.zeros_like(v), v.copy())
-    phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
-    x_lo = _h_roots(v, np.repeat(c_hi, sizes), q, np.zeros_like(v), x_hi)
-    phi_hi = lam * _psi(x_lo, starts, sizes, q) - c_hi
-
     guard = 1e-9 * np.maximum(1.0, c_hi)
+
+    cold = np.zeros(sizes.size, dtype=bool)
+    warm, c0 = cold, c_lo
+    if guess is not None:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c0 = lam * _psi(guess, starts, sizes, q)
+        warm = (np.minimum.reduceat(guess, starts) > 0.0) & (c0 > c_lo) & (c0 < c_hi)
+    # the roots at the bracket ends seed the inner bracket cache: x_hi holds
+    # the roots at c_lo and x_lo the roots at c_hi.  A warm bracket must
+    # show phi's sign change on every warm group, or the call starts cold
+    ends = _start_points(v, sizes, starts, lam, q, c_lo, c_hi, warm, c0, guess)
+    sweeps = 2
+    sign_change = (ends[1] >= 0.0) & (ends[4] <= 0.0)
+    if np.any(warm & ~sign_change):
+        ends = _start_points(v, sizes, starts, lam, q, c_lo, c_hi, cold, c0, guess)
+        sweeps += 2
+    c_lo, phi_lo, x_hi, c_hi, phi_hi, x_lo = ends
+
     if np.any(phi_lo < -guard) or np.any(phi_hi > guard):
         raise BracketError("phi lost its sign change on the initial bracket")
 
@@ -250,6 +323,7 @@ def _general_q_batch(v, sizes, lam, q):
         c_try = np.where(frozen, c, np.where(ok, c_try, np.sqrt(c_lo) * np.sqrt(c_hi)))
         c_rep = np.repeat(c_try, sizes)
         x_try = _h_roots(v, c_rep, q, x_lo, x_hi, x0=x_cur)
+        sweeps += 1
         lam_psi = lam * _psi(x_try, starts, sizes, q)
         phi = lam_psi - c_try
 
@@ -266,14 +340,18 @@ def _general_q_batch(v, sizes, lam, q):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             step = phi / (lam_psi * _dlog_psi(x_try, c_rep, starts, sizes, q) - 1.0)
         # done once c is pinned to float resolution, by the bracket or by
-        # a Newton step that no longer moves it
-        frozen |= live & ((phi == 0.0) | ((c_hi - c_lo) <= _width_floor(c_hi))
-                          | (np.abs(step) <= _EPS4 * c_try))
+        # a Newton step that no longer moves it, or once phi is at its
+        # rounding floor: |phi| stopped halving and the step is a few
+        # hundred ulps, where a bisection would only walk the far end in
         slow = np.abs(phi) > 0.5 * abs_phi_prev
+        abs_step = np.abs(step)
+        frozen |= live & ((phi == 0.0) | ((c_hi - c_lo) <= _width_floor(c_hi))
+                          | (abs_step <= _EPS4 * c_try)
+                          | (slow & (abs_step <= _FLOOR_ULPS * c_try)))
         c_try = np.where(slow, np.nan, c_try - step)
         abs_phi_prev = np.abs(phi)
 
-    return x_cur
+    return x_cur, sweeps
 
 
 def _width_floor(c_hi):
@@ -295,7 +373,7 @@ def prox_general_q(v_pos, lam: float, q: float):
         raise InvalidExponentError(f"general-q solve needs 1 < q < inf, got {q!r}")
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise InvalidParameterError(f"lam must be positive, got {lam!r}")
-    return _general_q_batch(v, np.array([v.size]), float(lam), float(q))
+    return _general_q_batch(v, np.array([v.size]), float(lam), float(q))[0]
 
 
 def prox_group(v, params: ProxParams) -> np.ndarray:
@@ -306,15 +384,20 @@ def prox_group(v, params: ProxParams) -> np.ndarray:
     whole-vector kernel.
     """
     v = _validate_group_input(v)
-    return _prox_concat(v, GroupPartition((v.size,)), params.lam, params.q)
+    return _prox_concat(v, GroupPartition((v.size,)), params.lam, params.q)[0]
 
 
 def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
-                 q: float) -> np.ndarray:
+                 q: float, guess: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Group-wise prox on a flat array; the solver's hot path and the one
-    place that dispatches on the exponent."""
+    place that dispatches on the exponent.
+
+    ``guess``, laid out like ``values``, is an estimate of the answer that
+    only the general-q zero find reads, as its starting point.  Returns the
+    prox and the number of general-q sweeps taken (0 for q in {1, 2, inf}).
+    """
     if lam == 0.0:
-        return values.copy()
+        return values.copy(), 0
     sizes = partition.sizes_array
     if q == 2.0:
         # tested before classify_q: q = 2 is self-dual and needs no
@@ -323,7 +406,7 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
         zero_g = lam >= gn * (1.0 - ZERO_SLACK)
         denom = np.where(gn > 0.0, gn, 1.0)
         factor = np.where(zero_g, 0.0, (gn - lam) / denom)
-        return values * np.repeat(factor, sizes)
+        return values * np.repeat(factor, sizes), 0
     kind = classify_q(q)
     gn = group_norms(values, partition, dual_exponent(q))
     zero_g = lam >= gn * (1.0 - ZERO_SLACK)
@@ -332,21 +415,23 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     if kind is QKind.ONE:
         out = soft_threshold(values, lam)
         out[zero_c] = 0.0
-        return out
+        return out, 0
     # q = inf and general q solve the live groups only, with their zero
     # entries stripped: a zero entry stays zero at every q
     out = np.zeros_like(values)
     keep_c = ~zero_c & (values != 0.0)
     if not keep_c.any():
-        return out
+        return out, 0
     counts = np.add.reduceat(keep_c.astype(np.intp), partition.starts)
     live_sizes = counts[~zero_g]
     kept = values[keep_c]
     if kind is QKind.INF:
         out[keep_c] = _inf_clip(kept, live_sizes, lam)
-    else:
-        out[keep_c] = np.sign(kept) * _general_q_batch(np.abs(kept), live_sizes, lam, q)
-    return out
+        return out, 0
+    x, sweeps = _general_q_batch(np.abs(kept), live_sizes, lam, q,
+                                 None if guess is None else np.abs(guess[keep_c]))
+    out[keep_c] = np.sign(kept) * x
+    return out, sweeps
 
 
 def prox_all(V: GroupedVector, lam: float, q: float) -> GroupedVector:
@@ -364,4 +449,4 @@ def prox_all(V: GroupedVector, lam: float, q: float) -> GroupedVector:
         j = int(np.flatnonzero(bad)[0])
         g = int(np.searchsorted(V.partition.offsets, j, side="right") - 1)
         raise InputError(f"non-finite entry in group {g}")
-    return GroupedVector(_prox_concat(values, V.partition, float(lam), float(q)), V.partition)
+    return GroupedVector(_prox_concat(values, V.partition, float(lam), float(q))[0], V.partition)

@@ -69,8 +69,10 @@ class SolveResult:
 
     ``L_final`` is the last accepted L.  ``backtracks`` counts the doublings
     of L, so the prox ran iterations + backtracks times; ``restarts`` counts
-    the momentum resets.  ``gap`` is the relative duality gap (P - D) / P at
-    the solution (``model.relative_gap``), None at lam = 0.
+    the momentum resets.  ``prox_sweeps`` sums the general-q prox's outer
+    zero-find sweeps over those calls (0 for q in {1, 2, inf}).  ``gap`` is
+    the relative duality gap (P - D) / P at the solution
+    (``model.relative_gap``), None at lam = 0.
     """
 
     solution: GroupedVector
@@ -80,6 +82,7 @@ class SolveResult:
     L_final: float
     restarts: int
     backtracks: int
+    prox_sweeps: int
     gap: float | None
 
 
@@ -95,7 +98,7 @@ def _penalty(values: np.ndarray, inst: ProblemInstance) -> float:
     return float(inst.lam * group_norms(values, inst.partition, inst.q).sum())
 
 
-def _backtrack(s, Bs, g, L, inst):
+def _backtrack(s, Bs, g, L, inst, x_cur):
     """Double L until the quadratic model at s dominates the loss.
 
     For the least-squares loss the acceptance test
@@ -104,16 +107,18 @@ def _backtrack(s, Bs, g, L, inst):
     the expanded form cancels to roundoff noise near convergence, where a
     spurious failure would double L forever.  The collapsed test accepts as
     soon as L reaches ||B||_2^2, so the cap only guards non-finite data.
-    Returns (x_new, B @ x_new, L, number of doublings).
+    The current iterate x_cur is the prox's starting guess.  Returns
+    (x_new, B @ x_new, L, number of doublings, prox sweeps).
     """
-    doublings = 0
+    doublings = sweeps = 0
     while True:
-        x = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q)
+        x, n = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q, x_cur)
+        sweeps += n
         d = x - s
         Bx = inst.B @ x
         bd = Bx - Bs
         if float(bd @ bd) <= L * float(d @ d):
-            return x, Bx, L, doublings
+            return x, Bx, L, doublings, sweeps
         L *= 2.0
         doublings += 1
         if L > _L_CAP:
@@ -146,7 +151,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     L_try = config.L0 if config.L0 is not None else default_l0(inst)
     alpha_prev, alpha_cur = 0.0, 1.0
     converged = False
-    stall = restarts = backtracks = 0
+    stall = restarts = backtracks = prox_sweeps = 0
     for it in range(1, config.max_iters + 1):
         if alpha_prev == 0.0:
             # first step, or just restarted: no momentum, s is x_cur itself
@@ -157,8 +162,9 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
             Bs = Bx_cur + beta * dBx
         g = BT @ (Bs - Y)
 
-        x_new, Bx_new, L, doublings = _backtrack(s, Bs, g, L_try, inst)
+        x_new, Bx_new, L, doublings, sweeps = _backtrack(s, Bs, g, L_try, inst, x_cur)
         backtracks += doublings
+        prox_sweeps += sweeps
         L_try = _L_SHRINK * L
         rn = Bx_new - Y
         f_new = 0.5 * float(rn @ rn) + _penalty(x_new, inst)
@@ -195,6 +201,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         L_final=L,
         restarts=restarts,
         backtracks=backtracks,
+        prox_sweeps=prox_sweeps,
         gap=relative_gap(inst, x_cur, Y - Bx_cur),
     )
 

@@ -107,9 +107,13 @@ def test_solve_writes_solution_and_json(tmp_path, rng, capsys):
     assert info["converged"] is True
     assert 0 < info["lambda"] < info["lambda_max"]
     assert all(isinstance(info[k], int) and info[k] >= 0 for k in ("restarts", "backtracks"))
+    assert info["prox_sweeps"] == 0  # the q = 2 prox is closed-form
     assert 0 <= info["gap"] <= 1e-4
     sol = csvio.read_vector(out)
     assert sol.shape == (24,)
+    code = main(["solve", *data_args(tmp_path), "--q", "1.5", "--ratio", "0.5", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["prox_sweeps"] > 0
 
 
 def test_solve_lambda_ratio_exclusive(tmp_path, rng):
@@ -171,7 +175,8 @@ def test_json_totals_match_step_reports(tmp_path, rng, capsys):
         assert info["solve_time"] == pytest.approx(t_solve.sum(), rel=1e-4, abs=1e-5)
         assert 0 <= info["max_gap"] <= 1e-4
         assert info["iterations"] > 0
-        assert all(isinstance(info[k], int) and info[k] >= 0 for k in ("restarts", "backtracks"))
+        assert all(isinstance(info[k], int) and info[k] >= 0
+                   for k in ("restarts", "backtracks", "prox_sweeps"))
     assert path_info["iterations"] == int(stats[:, 3].sum())
 
 

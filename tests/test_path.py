@@ -5,11 +5,13 @@ from conftest import numpy_relative_gap, random_instance
 from mixnorm.errors import InvalidParameterError
 from mixnorm.model import (ZERO_GROUP_NORM, GroupPartition, GroupedVector,
                            ProblemInstance, group_norms)
+from mixnorm import prox as prox_module
+from mixnorm import solver as solver_module
 from mixnorm.path import (PathSpec, geometric_ratios, linear_ratios,
                           recovery_experiment, run_path, stacked_instance)
 from mixnorm.screening import lambda_max
 from mixnorm.solver import SolverConfig, solve
-from mixnorm.synth import SynthSpec, gen_joint_sparse
+from mixnorm.synth import SynthSpec, gen_joint_sparse, gen_screening_instance
 
 
 def test_linear_ratios_grid():
@@ -83,13 +85,35 @@ def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
         assert out.iterations[i] == res.iterations
         assert out.backtracks[i] == res.backtracks
         assert out.restarts[i] == res.restarts
+        assert out.prox_sweeps[i] == res.prox_sweeps
         assert out.gaps[i] == res.gap
         assert out.objectives[i] == res.f_history[-1]
         assert np.array_equal(out.solutions[i], res.solution.values)
     assert out.iterations[0] > 0
+    assert (out.prox_sweeps.sum() > 0) == (q != 2.0)
     assert np.all(out.groups_kept == inst.partition.s)
     assert np.all(out.rejection_ratios == 0.0)
     assert np.array_equal(out.ratios, ratios)
+
+
+def test_general_q_path_sweep_budget(monkeypatch):
+    # each prox call starts its outer zero find from the solver's iterate:
+    # 5.6 sweeps a call on these paths, against 9.4 from the analytic bracket
+    base = gen_screening_instance(SynthSpec(m=50, d=100, num_groups=10, seed=1), q=1.5)
+    sweeps, calls = [], []
+    h_roots, prox = prox_module._h_roots, solver_module._prox_concat
+    monkeypatch.setattr(prox_module, "_h_roots",
+                        lambda *args, **kwargs: sweeps.append(1) or h_roots(*args, **kwargs))
+    monkeypatch.setattr(solver_module, "_prox_concat",
+                        lambda *args: calls.append(1) or prox(*args))
+    spec = PathSpec(ratios=(1.0, 0.9, 0.8), screening=False, solver=SolverConfig(tol=1e-8))
+    reported = 0
+    for q in (1.5, 3.0):
+        out = run_path(ProblemInstance(base.B, base.Y, base.partition, q, 0.0), spec)
+        assert out.converged.all()
+        reported += int(out.prox_sweeps.sum())
+    assert reported == len(sweeps)
+    assert len(sweeps) <= 6.5 * len(calls)
 
 
 def test_path_steps_report_convergence(rng):

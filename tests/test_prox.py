@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from mixnorm.errors import InputError, InvalidExponentError, InvalidParameterError
 from mixnorm.model import GroupPartition, GroupedVector, dual_exponent, group_norms, lq_norm
-from mixnorm.prox import (ProxParams, prox_all, prox_general_q,
+from mixnorm import prox as prox_module
+from mixnorm.prox import (ProxParams, _prox_concat, prox_all, prox_general_q,
                           prox_group, prox_inf, soft_threshold)
 
 
@@ -241,6 +242,52 @@ def test_fixed_point_iteration_can_fail_where_zero_finding_succeeds():
     if fixed_point_converged:
         x_fp = _h_roots(v, np.full(2, c), q, np.zeros(2), v.copy())
         assert optimality_residual(x_fp, v, lam, q) > 1e-6
+
+
+def test_newton_at_phi_rounding_floor_stops_without_bisecting(monkeypatch):
+    # Newton closes in on c* from one side, so the far end of the bracket is
+    # still the analytic one; bisecting once |phi| stops halving at its
+    # rounding floor walked that end in over decades, for 33 sweeps
+    v = np.array([-0.08336233677328574, 0.03937214755246577, -0.07918721457279891,
+                  0.004424148882862664, 0.15268608127580746, 0.012738178946544668,
+                  -0.035158341327072885, -0.1324730754983202, 0.03904757837546792,
+                  -0.009011518986615577])
+    lam, q = 0.2908687122409926, 3.0
+    sweeps = []
+    h_roots = prox_module._h_roots
+    monkeypatch.setattr(prox_module, "_h_roots",
+                        lambda *args, **kwargs: sweeps.append(1) or h_roots(*args, **kwargs))
+    x = prox_group(v, ProxParams(lam=lam, q=q))
+    assert len(sweeps) <= 10
+    assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 8.0])
+def test_warm_start_never_changes_the_answer(q, rng):
+    # a guess only moves where the outer zero find starts; a group whose
+    # guess has a zero, or whose c0 = lam ||guess||_q^(1-q) is outside the
+    # analytic bracket, starts cold, exactly as with no guess at all
+    for _ in range(25):
+        sizes = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(2, 9))))
+        part = GroupPartition(sizes)
+        v = rng.standard_normal(part.p) * np.repeat(10.0 ** rng.uniform(-2, 2, part.s), sizes)
+        v[rng.random(part.p) < 0.1] = 0.0
+        # lam near the median zero threshold leaves some groups at zero
+        lam = float(rng.uniform(0.2, 1.2) * np.median(group_norms(v, part, dual_exponent(q))))
+        cold, cold_sweeps = _prox_concat(v, part, lam, q)
+        tol = 1e-14 * np.abs(v).max()
+        warm_guesses = [cold * s for s in (1.0, 1e-8, 0.5, 2.0, 1e8)]
+        warm_guesses += [rng.uniform(1e-3, 2.0, part.p) * np.abs(v) for _ in range(3)]
+        warm_guesses += [rng.uniform(0.1, 10.0, part.p)]
+        for guess in warm_guesses:
+            out, _ = _prox_concat(v, part, lam, q, guess)
+            assert np.abs(out - cold).max() <= tol
+        zeroed = cold.copy()
+        for g in range(part.s):
+            zeroed[part.starts[g] + np.argmax(np.abs(cold[part.slice(g)]))] = 0.0
+        for guess in (zeroed, cold * 1e-300, cold * 1e300):
+            out, sweeps = _prox_concat(v, part, lam, q, guess)
+            assert np.array_equal(out, cold) and sweeps == cold_sweeps
 
 
 # ---------------------------------------------------------------------------
