@@ -148,6 +148,7 @@ def _path_totals(result) -> dict:
             "backtracks": int(result.backtracks.sum()),
             "restarts": int(result.restarts.sum()),
             "prox_sweeps": int(result.prox_sweeps.sum()),
+            "prox_joint_steps": int(result.prox_joint_steps.sum()),
             "max_gap": float(result.gaps.max())}
 
 
@@ -180,7 +181,8 @@ def _cmd_solve(ns) -> int:
         "lambda": lam, "lambda_max": lmax, "objective": float(res.f_history[-1]),
         "iterations": res.iterations, "converged": res.converged, "nonzero_groups": nnz,
         "restarts": res.restarts, "backtracks": res.backtracks,
-        "prox_sweeps": res.prox_sweeps, "gap": res.gap,
+        "prox_sweeps": res.prox_sweeps, "prox_joint_steps": res.prox_joint_steps,
+        "gap": res.gap,
     }, f"objective {res.f_history[-1]:.12g} after {res.iterations} iterations "
        f"({nnz} active groups)")
     return 0

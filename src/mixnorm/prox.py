@@ -70,12 +70,13 @@ _MAX_OUTER = 400
 _MAX_INNER = 80
 # Four ulps of 1.0: the rounding floor used by the stopping tests.
 _EPS4 = 4.0 * np.finfo(np.float64).eps
-# a warm start's second sweep lands this many ulps of c0 past the Newton
-# point, on top of the step's error bound
-_WARM_ULPS = 64.0 * np.finfo(np.float64).eps
 # a Newton step on phi this many ulps of c long, after one that failed to
 # halve |phi|, is at phi's rounding floor
 _FLOOR_ULPS = 256.0 * np.finfo(np.float64).eps
+# joint Newton steps on (x, c) before a group falls back to the bracket, and
+# the share of the way to the boundary x = 0 or c = 0 that one may cover
+_MAX_JOINT = 8
+_TO_BOUNDARY = 0.9
 
 
 @dataclass(frozen=True)
@@ -206,44 +207,69 @@ def _dlog_psi(x, c, starts, rep_sizes, q):
     return (q - 1.0) * np.power(gmax, q - 2.0) * num / den
 
 
-def _start_points(v, sizes, starts, lam, q, c_lo, c_hi, warm, c0, guess):
-    """The two sweeps that open the outer zero find, on every group at once.
+def _joint_step(v, x, c, starts, sizes, lam, q):
+    """One Newton step on the coupled system, on every group at once.
 
-    A cold group is swept at the analytic ends c_lo and c_hi.  A warm group
-    is swept at c0 = lam * psi(guess), with the inner roots started from
-    the guess, and then just past the Newton point from c0: by the step's
-    own error bound, 3 step^2 / c0, plus a few ulps, and no further than
-    the analytic ends.  Returns, per group, the smaller c of the two with
-    its phi and roots, then the larger c with its phi and roots.
+    The unknowns are the roots x and c; the equations are
+    h_i = x_i + c x_i^(q-1) - v_i = 0 and g = lam psi(x) - c = 0.  The
+    Jacobian is an arrowhead: diagonal h'_i in x, column x_i^(q-1) in c,
+    row a_i = (1-q) lam psi x_i^(q-1) / sum(x^q) from g, and -1.  So the
+    step is one sum per group:
+
+        dc  = (g - sum a_i h_i / h'_i) / (1 + sum a_i x_i^(q-1) / h'_i)
+        dx_i = -(h_i + x_i^(q-1) dc) / h'_i
+
+    At h = 0 the denominator is 1 - lam psi d(log psi)/dc, and dc is the
+    Newton step on phi.  The sums are taken max-rescaled, like ``_psi``.
+    Returns dx, dc and, per group, whether every h_i is at its rounding
+    floor (the one ``_h_roots`` stops at) and |dc| at most 256 ulps of c.
     """
-    any_warm = warm.any()
-    warm_c = np.repeat(warm, sizes)
-    c1 = np.where(warm, c0, c_lo)
-    c1_rep = np.repeat(c1, sizes)
-    with np.errstate(over="ignore", divide="ignore"):
-        x0 = np.power(v / c1_rep, 1.0 / (q - 1.0))
-    if any_warm:
-        x0 = np.where(warm_c, guess, x0)
-    x1 = _h_roots(v, c1_rep, q, np.zeros_like(v), v, x0=x0)
-    lam_psi = lam * _psi(x1, starts, sizes, q)
-    phi1 = lam_psi - c1
-    c2 = c_hi
-    if any_warm:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            step = phi1 / (lam_psi * _dlog_psi(x1, c1_rep, starts, sizes, q) - 1.0)
-            past = c1 - step - np.sign(step) * (3.0 * step * step / c1 + _WARM_ULPS * c1)
-        # fmin/fmax drop a NaN step in favour of the analytic end
-        c2 = np.where(warm, np.fmax(c_lo, np.fmin(past, c_hi)), c_hi)
-    c2_rep = np.repeat(c2, sizes)
-    # x(c) decreases in c, so x1 bounds the roots at c2 from one side
-    down = c2_rep >= c1_rep
-    with np.errstate(over="ignore", divide="ignore"):
-        x0 = np.where(warm_c, x1, np.power(v / c2_rep, 1.0 / (q - 1.0)))
-    x2 = _h_roots(v, c2_rep, q, np.where(down, 0.0, x1), np.where(down, x1, v), x0=x0)
-    phi2 = lam * _psi(x2, starts, sizes, q) - c2
-    swap, swap_c = c2 < c1, ~down
-    return (np.where(swap, c2, c1), np.where(swap, phi2, phi1), np.where(swap_c, x2, x1),
-            np.where(swap, c1, c2), np.where(swap, phi1, phi2), np.where(swap_c, x1, x2))
+    qm1 = q - 1.0
+    c_rep = np.repeat(c, sizes)
+    x_qm1 = np.power(x, qm1)
+    h = x + c_rep * x_qm1 - v
+    dh = 1.0 + c_rep * qm1 * np.power(x, q - 2.0)
+    gmax = np.maximum.reduceat(x, starts)
+    y = x / np.repeat(gmax, sizes)
+    y_qm1 = np.power(y, qm1)
+    sum_yq = np.add.reduceat(y_qm1 * y, starts)
+    lam_psi = lam * np.power(gmax, -qm1) * np.power(sum_yq, -qm1 / q)
+    # a_i, with x^(q-1) / sum(x^q) = y^(q-1) / (gmax sum(y^q))
+    a = np.repeat(-qm1 * lam_psi / (gmax * sum_yq), sizes) * y_qm1
+    dc = ((lam_psi - c - np.add.reduceat(a * h / dh, starts))
+          / (1.0 + np.add.reduceat(a * x_qm1 / dh, starts)))
+    dx = -(h + x_qm1 * np.repeat(dc, sizes)) / dh
+    floor = np.logical_and.reduceat(np.abs(h) <= _EPS4 * (v + dh * x), starts)
+    return dx, dc, floor & (np.abs(dc) <= _FLOOR_ULPS * c)
+
+
+def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
+    """Newton's method on (x, c) together, from a guess at the answer.
+
+    Each step is damped to 0.9 of the way to the boundary x = 0 or c = 0,
+    so the iterate stays positive.  A group is done once ``_joint_step``
+    finds its residuals at the rounding floor with c inside the analytic
+    bracket (c_lo, c_hi); it then keeps its x.  Returns the roots, which
+    groups are done, and the number of steps taken (at most
+    ``_MAX_JOINT``).
+    """
+    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+    done = np.zeros(sizes.size, dtype=bool)
+    steps = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while steps < _MAX_JOINT:
+            dx, dc, at_floor = _joint_step(v, x, c, starts, sizes, lam, q)
+            steps += 1
+            done |= at_floor & (c > c_lo) & (c < c_hi)
+            if done.all():
+                break
+            # the longest step that keeps every entry, and c, positive
+            reach = np.minimum(np.minimum.reduceat(np.where(dx < 0.0, x / -dx, np.inf), starts),
+                               np.where(dc < 0.0, c / -dc, np.inf))
+            t = np.where(done, 0.0, np.minimum(1.0, _TO_BOUNDARY * reach))
+            x = x + np.repeat(t, sizes) * dx
+            c = c + t * dc
+    return x, done, steps
 
 
 def _general_q_batch(v, sizes, lam, q, guess=None):
@@ -253,10 +279,10 @@ def _general_q_batch(v, sizes, lam, q, guess=None):
     Preconditions (caller-enforced): all entries strictly positive and
     finite, and lam < ||v_g||_qbar for every group g.  ``guess``, laid out
     like ``v``, is an estimate of the minimizer's magnitudes; a group
-    starts warm from it when it is positive on the whole group and its c0
-    lies inside the analytic bracket.  Returns the positive minimizers,
-    concatenated the same way, and the number of sweeps (``_h_roots``
-    calls) taken.
+    starts from it when it is positive on the whole group and its
+    c0 = lam psi(guess) lies inside the analytic bracket.  Returns the
+    positive minimizers, concatenated the same way, the number of sweeps
+    (``_h_roots`` calls) and the number of joint Newton steps taken.
     """
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     qbar = q / (q - 1.0)
@@ -280,24 +306,39 @@ def _general_q_batch(v, sizes, lam, q, guess=None):
     c_hi = np.where(np.isfinite(c_hi), c_hi, c_cap)
     if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
         raise BracketError("outer bracket overflowed; inputs out of numerical range")
-    guard = 1e-9 * np.maximum(1.0, c_hi)
 
-    cold = np.zeros(sizes.size, dtype=bool)
-    warm, c0 = cold, c_lo
+    x = np.empty_like(v)
+    cold = np.ones(sizes.size, dtype=bool)
+    steps = sweeps = 0
     if guess is not None:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             c0 = lam * _psi(guess, starts, sizes, q)
         warm = (np.minimum.reduceat(guess, starts) > 0.0) & (c0 > c_lo) & (c0 < c_hi)
+        if warm.any():
+            sel = np.repeat(warm, sizes)
+            x[sel], done, steps = _joint_newton(v[sel], sizes[warm], lam, q, guess[sel],
+                                                c0[warm], c_lo[warm], c_hi[warm])
+            cold[warm] = ~done
+    if cold.any():
+        sel = np.repeat(cold, sizes)
+        x[sel], sweeps = _bracketed(v[sel], sizes[cold], lam, q, c_lo[cold], c_hi[cold])
+    return x, sweeps, steps
+
+
+def _bracketed(v, sizes, lam, q, c_lo, c_hi):
+    """The cold outer zero find: bracketed Newton on phi from the analytic
+    bracket [c_lo, c_hi], every group at once.  Returns the roots and the
+    number of sweeps (``_h_roots`` calls) taken."""
+    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+    guard = 1e-9 * np.maximum(1.0, c_hi)
     # the roots at the bracket ends seed the inner bracket cache: x_hi holds
-    # the roots at c_lo and x_lo the roots at c_hi.  A warm bracket must
-    # show phi's sign change on every warm group, or the call starts cold
-    ends = _start_points(v, sizes, starts, lam, q, c_lo, c_hi, warm, c0, guess)
+    # the roots at c_lo and x_lo the roots at c_hi, which x(c) decreasing
+    # bounds by x_hi
+    x_hi = _h_roots(v, np.repeat(c_lo, sizes), q, np.zeros_like(v), v)
+    x_lo = _h_roots(v, np.repeat(c_hi, sizes), q, np.zeros_like(v), x_hi)
     sweeps = 2
-    sign_change = (ends[1] >= 0.0) & (ends[4] <= 0.0)
-    if np.any(warm & ~sign_change):
-        ends = _start_points(v, sizes, starts, lam, q, c_lo, c_hi, cold, c0, guess)
-        sweeps += 2
-    c_lo, phi_lo, x_hi, c_hi, phi_hi, x_lo = ends
+    phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
+    phi_hi = lam * _psi(x_lo, starts, sizes, q) - c_hi
 
     if np.any(phi_lo < -guard) or np.any(phi_hi > guard):
         raise BracketError("phi lost its sign change on the initial bracket")
@@ -388,16 +429,17 @@ def prox_group(v, params: ProxParams) -> np.ndarray:
 
 
 def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
-                 q: float, guess: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                 q: float, guess: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """Group-wise prox on a flat array; the solver's hot path and the one
     place that dispatches on the exponent.
 
     ``guess``, laid out like ``values``, is an estimate of the answer that
-    only the general-q zero find reads, as its starting point.  Returns the
-    prox and the number of general-q sweeps taken (0 for q in {1, 2, inf}).
+    only the general-q solve reads, as its starting point.  Returns the
+    prox, the number of general-q sweeps (``_h_roots`` calls) and the
+    number of joint Newton steps taken (both 0 for q in {1, 2, inf}).
     """
     if lam == 0.0:
-        return values.copy(), 0
+        return values.copy(), 0, 0
     sizes = partition.sizes_array
     if q == 2.0:
         # tested before classify_q: q = 2 is self-dual and needs no
@@ -406,7 +448,7 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
         zero_g = lam >= gn * (1.0 - ZERO_SLACK)
         denom = np.where(gn > 0.0, gn, 1.0)
         factor = np.where(zero_g, 0.0, (gn - lam) / denom)
-        return values * np.repeat(factor, sizes), 0
+        return values * np.repeat(factor, sizes), 0, 0
     kind = classify_q(q)
     gn = group_norms(values, partition, dual_exponent(q))
     zero_g = lam >= gn * (1.0 - ZERO_SLACK)
@@ -415,23 +457,23 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     if kind is QKind.ONE:
         out = soft_threshold(values, lam)
         out[zero_c] = 0.0
-        return out, 0
+        return out, 0, 0
     # q = inf and general q solve the live groups only, with their zero
     # entries stripped: a zero entry stays zero at every q
     out = np.zeros_like(values)
     keep_c = ~zero_c & (values != 0.0)
     if not keep_c.any():
-        return out, 0
+        return out, 0, 0
     counts = np.add.reduceat(keep_c.astype(np.intp), partition.starts)
     live_sizes = counts[~zero_g]
     kept = values[keep_c]
     if kind is QKind.INF:
         out[keep_c] = _inf_clip(kept, live_sizes, lam)
-        return out, 0
-    x, sweeps = _general_q_batch(np.abs(kept), live_sizes, lam, q,
-                                 None if guess is None else np.abs(guess[keep_c]))
+        return out, 0, 0
+    x, sweeps, steps = _general_q_batch(np.abs(kept), live_sizes, lam, q,
+                                        None if guess is None else np.abs(guess[keep_c]))
     out[keep_c] = np.sign(kept) * x
-    return out, sweeps
+    return out, sweeps, steps
 
 
 def prox_all(V: GroupedVector, lam: float, q: float) -> GroupedVector:

@@ -209,8 +209,8 @@ class PathStep:
     """One penalty of a path.  ``mask`` marks the discarded groups;
     ``converged`` is the solve's flag, and True when no solve ran.  ``gap``
     is the relative duality gap of ``solution`` on the full instance;
-    ``iterations``, ``backtracks``, ``restarts`` and ``prox_sweeps`` are the
-    solve's counters (0 when no solve ran)."""
+    ``iterations``, ``backtracks``, ``restarts``, ``prox_sweeps`` and
+    ``prox_joint_steps`` are the solve's counters (0 when no solve ran)."""
 
     lam: float
     mask: np.ndarray
@@ -221,6 +221,7 @@ class PathStep:
     backtracks: int
     restarts: int
     prox_sweeps: int
+    prox_joint_steps: int
     converged: bool
     groups_kept: int
     rejection_ratio: float
@@ -249,6 +250,7 @@ class PathResult:
     backtracks = _per_step("backtracks", "Doublings of L in the solve.")
     restarts = _per_step("restarts", "Momentum resets in the solve.")
     prox_sweeps = _per_step("prox_sweeps", "General-q prox sweeps in the solve.")
+    prox_joint_steps = _per_step("prox_joint_steps", "General-q prox joint Newton steps.")
     converged = _per_step("converged", "Solver converged flag (True where no solve ran).")
     groups_kept = _per_step("groups_kept", "Groups left after screening.")
     rejection_ratios = _per_step("rejection_ratio", "Discarded over truly zero groups.")
@@ -338,7 +340,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
         x_full = np.zeros(inst.p)
         if mask.all():
             obj = 0.5 * float(np.dot(inst.Y, inst.Y))
-            iters = backtracks = restarts = sweeps = 0
+            iters = backtracks = restarts = sweeps = joint_steps = 0
             converged = True
         else:
             sub, col_keep = reduced_instance(inst, ~mask, lam)
@@ -346,7 +348,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
             x_full[col_keep] = res.solution.values
             obj = float(res.f_history[-1])
             iters, backtracks, restarts = res.iterations, res.backtracks, res.restarts
-            sweeps = res.prox_sweeps
+            sweeps, joint_steps = res.prox_sweeps, res.prox_joint_steps
             converged = res.converged
         t_solve = time.perf_counter() - t0
         r_full = inst.Y - inst.B @ x_full
@@ -361,6 +363,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
             backtracks=backtracks,
             restarts=restarts,
             prox_sweeps=sweeps,
+            prox_joint_steps=joint_steps,
             converged=converged,
             groups_kept=int(s - mask.sum()),
             rejection_ratio=_rejection_ratio(int(mask.sum()), x_full, inst),

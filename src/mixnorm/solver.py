@@ -69,8 +69,9 @@ class SolveResult:
 
     ``L_final`` is the last accepted L.  ``backtracks`` counts the doublings
     of L, so the prox ran iterations + backtracks times; ``restarts`` counts
-    the momentum resets.  ``prox_sweeps`` sums the general-q prox's outer
-    zero-find sweeps over those calls (0 for q in {1, 2, inf}).  ``gap`` is
+    the momentum resets.  ``prox_sweeps`` and ``prox_joint_steps`` sum the
+    general-q prox's bracketed zero-find sweeps and its joint Newton steps
+    over those calls (0 for q in {1, 2, inf}).  ``gap`` is
     the relative duality gap (P - D) / P at the solution
     (``model.relative_gap``), None at lam = 0.
     """
@@ -83,6 +84,7 @@ class SolveResult:
     restarts: int
     backtracks: int
     prox_sweeps: int
+    prox_joint_steps: int
     gap: float | None
 
 
@@ -108,17 +110,19 @@ def _backtrack(s, Bs, g, L, inst, x_cur):
     spurious failure would double L forever.  The collapsed test accepts as
     soon as L reaches ||B||_2^2, so the cap only guards non-finite data.
     The current iterate x_cur is the prox's starting guess.  Returns
-    (x_new, B @ x_new, L, number of doublings, prox sweeps).
+    (x_new, B @ x_new, L, number of doublings, prox sweeps, prox joint
+    Newton steps).
     """
-    doublings = sweeps = 0
+    doublings = sweeps = steps = 0
     while True:
-        x, n = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q, x_cur)
+        x, n, k = _prox_concat(s - g / L, inst.partition, inst.lam / L, inst.q, x_cur)
         sweeps += n
+        steps += k
         d = x - s
         Bx = inst.B @ x
         bd = Bx - Bs
         if float(bd @ bd) <= L * float(d @ d):
-            return x, Bx, L, doublings, sweeps
+            return x, Bx, L, doublings, sweeps, steps
         L *= 2.0
         doublings += 1
         if L > _L_CAP:
@@ -151,7 +155,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
     L_try = config.L0 if config.L0 is not None else default_l0(inst)
     alpha_prev, alpha_cur = 0.0, 1.0
     converged = False
-    stall = restarts = backtracks = prox_sweeps = 0
+    stall = restarts = backtracks = prox_sweeps = prox_joint_steps = 0
     for it in range(1, config.max_iters + 1):
         if alpha_prev == 0.0:
             # first step, or just restarted: no momentum, s is x_cur itself
@@ -162,9 +166,10 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
             Bs = Bx_cur + beta * dBx
         g = BT @ (Bs - Y)
 
-        x_new, Bx_new, L, doublings, sweeps = _backtrack(s, Bs, g, L_try, inst, x_cur)
+        x_new, Bx_new, L, doublings, sweeps, steps = _backtrack(s, Bs, g, L_try, inst, x_cur)
         backtracks += doublings
         prox_sweeps += sweeps
+        prox_joint_steps += steps
         L_try = _L_SHRINK * L
         rn = Bx_new - Y
         f_new = 0.5 * float(rn @ rn) + _penalty(x_new, inst)
@@ -202,6 +207,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         restarts=restarts,
         backtracks=backtracks,
         prox_sweeps=prox_sweeps,
+        prox_joint_steps=prox_joint_steps,
         gap=relative_gap(inst, x_cur, Y - Bx_cur),
     )
 

@@ -107,13 +107,16 @@ def test_solve_writes_solution_and_json(tmp_path, rng, capsys):
     assert info["converged"] is True
     assert 0 < info["lambda"] < info["lambda_max"]
     assert all(isinstance(info[k], int) and info[k] >= 0 for k in ("restarts", "backtracks"))
-    assert info["prox_sweeps"] == 0  # the q = 2 prox is closed-form
+    # the q = 2 prox is closed-form
+    assert info["prox_sweeps"] == info["prox_joint_steps"] == 0
     assert 0 <= info["gap"] <= 1e-4
     sol = csvio.read_vector(out)
     assert sol.shape == (24,)
     code = main(["solve", *data_args(tmp_path), "--q", "1.5", "--ratio", "0.5", "--json"])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["prox_sweeps"] > 0
+    info = json.loads(capsys.readouterr().out)
+    # the first prox call has no iterate to start from; later ones do
+    assert info["prox_sweeps"] > 0 and info["prox_joint_steps"] > 0
 
 
 def test_solve_lambda_ratio_exclusive(tmp_path, rng):
@@ -176,7 +179,7 @@ def test_json_totals_match_step_reports(tmp_path, rng, capsys):
         assert 0 <= info["max_gap"] <= 1e-4
         assert info["iterations"] > 0
         assert all(isinstance(info[k], int) and info[k] >= 0
-                   for k in ("restarts", "backtracks", "prox_sweeps"))
+                   for k in ("restarts", "backtracks", "prox_sweeps", "prox_joint_steps"))
     assert path_info["iterations"] == int(stats[:, 3].sum())
 
 

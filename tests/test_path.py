@@ -86,34 +86,43 @@ def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
         assert out.backtracks[i] == res.backtracks
         assert out.restarts[i] == res.restarts
         assert out.prox_sweeps[i] == res.prox_sweeps
+        assert out.prox_joint_steps[i] == res.prox_joint_steps
         assert out.gaps[i] == res.gap
         assert out.objectives[i] == res.f_history[-1]
         assert np.array_equal(out.solutions[i], res.solution.values)
     assert out.iterations[0] > 0
     assert (out.prox_sweeps.sum() > 0) == (q != 2.0)
+    assert (out.prox_joint_steps.sum() > 0) == (q != 2.0)
     assert np.all(out.groups_kept == inst.partition.s)
     assert np.all(out.rejection_ratios == 0.0)
     assert np.array_equal(out.ratios, ratios)
 
 
 def test_general_q_path_sweep_budget(monkeypatch):
-    # each prox call starts its outer zero find from the solver's iterate:
-    # 5.6 sweeps a call on these paths, against 9.4 from the analytic bracket
+    # each prox call starts from the solver's iterate with joint Newton steps
+    # on (x, c), and only the groups those do not certify take the
+    # bracketed zero find: 1.7 sweeps a call on these paths, against 5.6
+    # from a warm bracket and 9.4 from the analytic one
     base = gen_screening_instance(SynthSpec(m=50, d=100, num_groups=10, seed=1), q=1.5)
-    sweeps, calls = [], []
-    h_roots, prox = prox_module._h_roots, solver_module._prox_concat
+    sweeps, steps, calls = [], [], []
+    h_roots, joint_step = prox_module._h_roots, prox_module._joint_step
+    prox = solver_module._prox_concat
     monkeypatch.setattr(prox_module, "_h_roots",
                         lambda *args, **kwargs: sweeps.append(1) or h_roots(*args, **kwargs))
+    monkeypatch.setattr(prox_module, "_joint_step",
+                        lambda *args: steps.append(1) or joint_step(*args))
     monkeypatch.setattr(solver_module, "_prox_concat",
                         lambda *args: calls.append(1) or prox(*args))
     spec = PathSpec(ratios=(1.0, 0.9, 0.8), screening=False, solver=SolverConfig(tol=1e-8))
-    reported = 0
+    reported = reported_steps = 0
     for q in (1.5, 3.0):
         out = run_path(ProblemInstance(base.B, base.Y, base.partition, q, 0.0), spec)
         assert out.converged.all()
         reported += int(out.prox_sweeps.sum())
+        reported_steps += int(out.prox_joint_steps.sum())
     assert reported == len(sweeps)
-    assert len(sweeps) <= 6.5 * len(calls)
+    assert reported_steps == len(steps) > 0
+    assert len(sweeps) <= 2.5 * len(calls)
 
 
 def test_path_steps_report_convergence(rng):

@@ -262,11 +262,11 @@ def test_newton_at_phi_rounding_floor_stops_without_bisecting(monkeypatch):
     assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
 
 
-@pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 8.0, 20.0])
 def test_warm_start_never_changes_the_answer(q, rng):
-    # a guess only moves where the outer zero find starts; a group whose
-    # guess has a zero, or whose c0 = lam ||guess||_q^(1-q) is outside the
-    # analytic bracket, starts cold, exactly as with no guess at all
+    # a guess only moves where the solve starts; a group whose guess has a
+    # zero, or whose c0 = lam ||guess||_q^(1-q) is outside the analytic
+    # bracket, takes the bracketed zero find, exactly as with no guess at all
     for _ in range(25):
         sizes = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(2, 9))))
         part = GroupPartition(sizes)
@@ -274,20 +274,39 @@ def test_warm_start_never_changes_the_answer(q, rng):
         v[rng.random(part.p) < 0.1] = 0.0
         # lam near the median zero threshold leaves some groups at zero
         lam = float(rng.uniform(0.2, 1.2) * np.median(group_norms(v, part, dual_exponent(q))))
-        cold, cold_sweeps = _prox_concat(v, part, lam, q)
+        cold, cold_sweeps, cold_steps = _prox_concat(v, part, lam, q)
+        assert cold_steps == 0
         tol = 1e-14 * np.abs(v).max()
         warm_guesses = [cold * s for s in (1.0, 1e-8, 0.5, 2.0, 1e8)]
         warm_guesses += [rng.uniform(1e-3, 2.0, part.p) * np.abs(v) for _ in range(3)]
         warm_guesses += [rng.uniform(0.1, 10.0, part.p)]
+        # the solver's iterate is the answer perturbed coordinate by coordinate
+        warm_guesses += [cold * np.exp(sigma * rng.standard_normal(part.p))
+                         for sigma in (1e-8, 1e-4, 1e-2, 0.3)]
         for guess in warm_guesses:
-            out, _ = _prox_concat(v, part, lam, q, guess)
+            out, _, _ = _prox_concat(v, part, lam, q, guess)
             assert np.abs(out - cold).max() <= tol
         zeroed = cold.copy()
         for g in range(part.s):
             zeroed[part.starts[g] + np.argmax(np.abs(cold[part.slice(g)]))] = 0.0
         for guess in (zeroed, cold * 1e-300, cold * 1e300):
-            out, sweeps = _prox_concat(v, part, lam, q, guess)
-            assert np.array_equal(out, cold) and sweeps == cold_sweeps
+            out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
+            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == 0
+
+
+def test_warm_start_at_large_q_falls_back_when_newton_stalls():
+    # from this guess the inner solves at q = 20 stall far from their roots;
+    # a warm bracket built on them excluded c* and returned a prox off by
+    # 9.7e-4 max|v|.  A start that does not certify its answer goes cold
+    v = np.array([0.1101401565827222, 0.07678912606297768])
+    guess = np.array([0.0009923441308011044, 0.0005874939676119461])
+    lam, q = 0.1789665303350068, 20.0
+    part = GroupPartition((2,))
+    cold, cold_sweeps, _ = _prox_concat(v, part, lam, q)
+    out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
+    assert optimality_residual(out, v, lam, q) <= 1e-14 * np.abs(v).max()
+    assert np.abs(out - cold).max() <= 1e-14 * np.abs(v).max()
+    assert sweeps == cold_sweeps and steps > 0
 
 
 # ---------------------------------------------------------------------------
