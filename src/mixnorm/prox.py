@@ -22,30 +22,32 @@ substitution c = lam * ||x||_q^(1-q):
   * c* is the unique zero of  phi(c) = lam * psi(c) - c  on [c_lo, c_hi],
     where psi(c) = (sum_i x_i(c)^q)^((1-q)/q), phi(c_lo) >= 0 >= phi(c_hi).
 
-The outer zero find keeps a bracket [c_lo, c_hi] per group and steps by
-Newton's method on phi, with the derivative taken through the coordinate
-equations; a step that leaves the bracket, or that follows a step which
-failed to halve |phi|, is replaced by bisection at the geometric
-midpoint.  The roots at the bracket ends are cached: x_i(c) is strictly
-decreasing in c, so they sandwich the root at any interior c and bracket
-the inner solves, which are Newton steps safeguarded by bisection inside
-that bracket.
+Given a guess at the answer (the solver passes its current iterate), both
+equations are solved at once: Newton's method on (x, c) from
+(guess, lam * ||guess||_q^(1-q)), whose Jacobian is an arrowhead, so one
+step costs a sum per group.  Each step is damped to 0.9 of the way to the
+boundary x = 0 or c = 0.  A group takes this path when its guess is
+nonzero on all of it and its starting c lies inside the analytic bracket;
+it is accepted once every |h_i| is at its rounding floor, the Newton step
+in c is at most 256 ulps of c and c is still inside that bracket, within
+8 steps.
 
-The bracket opens cold at the analytic ends, or warm from a guess at the
-answer (the solver passes its current iterate).  A group is warm when the
-guess is nonzero on all of it and c0 = lam * ||guess||_q^(1-q) lies
-inside the analytic bracket: it is swept at c0, with the inner roots
-started from the guess, and again just past the Newton point from c0 (by
-3 step^2 / c0, which bounds that step's error, plus 64 ulps).  The two
-sweeps open the bracket only if phi changes sign between them on every
-warm group; otherwise the call starts over cold, sign check included.
-Both starts feed the one bracketed-Newton loop, which also stops a group
-at phi's rounding floor: once a step fails to halve |phi| and is at most
-256 ulps of c.  Newton closes in on c* from one side, so bisecting there
-would walk the far end of the bracket, still the analytic one, in over
-decades.  All general-q groups of a vector are solved in one lock-step
-batch; each group freezes independently once its own stopping rule fires,
-so batched results match solo calls.
+Every other group, with no guess or not accepted, takes the bracketed
+zero find from the analytic ends.  It keeps a bracket [c_lo, c_hi] per
+group and steps by Newton's method on phi, with the derivative taken
+through the coordinate equations; a step that leaves the bracket, or that
+follows a step which failed to halve |phi|, is replaced by bisection at
+the geometric midpoint.  A group stops at phi's rounding floor: once a
+step fails to halve |phi| and is at most 256 ulps of c, because Newton
+closes in on c* from one side and bisecting there would walk the far end
+of the bracket, still the analytic one, in over decades.  The roots at
+the bracket ends are cached: x_i(c) is strictly decreasing in c, so they
+sandwich the root at any interior c and bracket the inner solves, which
+are Newton steps safeguarded by bisection inside that bracket.
+
+Both paths solve all general-q groups of a vector in one lock-step batch;
+each group stops independently once its own test passes, so batched
+results match solo calls.
 """
 
 from __future__ import annotations

@@ -295,9 +295,9 @@ def test_warm_start_never_changes_the_answer(q, rng):
 
 
 def test_warm_start_at_large_q_falls_back_when_newton_stalls():
-    # from this guess the inner solves at q = 20 stall far from their roots;
-    # a warm bracket built on them excluded c* and returned a prox off by
-    # 9.7e-4 max|v|.  A start that does not certify its answer goes cold
+    # from this guess at q = 20, inner roots solved at c0 stop far above
+    # their rounding floor, and a bracket opened on them excludes c*; the
+    # joint start does not certify an answer here, so the cold path answers
     v = np.array([0.1101401565827222, 0.07678912606297768])
     guess = np.array([0.0009923441308011044, 0.0005874939676119461])
     lam, q = 0.1789665303350068, 20.0
