@@ -22,28 +22,27 @@ substitution c = lam * ||x||_q^(1-q):
   * c* is the unique zero of  phi(c) = lam * psi(c) - c  on [c_lo, c_hi],
     where psi(c) = (sum_i x_i(c)^q)^((1-q)/q), phi(c_lo) >= 0 >= phi(c_hi).
 
-Given a guess at the answer (the solver passes its current iterate), both
-equations are solved at once: Newton's method on (x, c) from
-(guess, lam * ||guess||_q^(1-q)), whose Jacobian is an arrowhead, so one
-step costs a sum per group.  Each step is damped to 0.9 of the way to the
-boundary x = 0 or c = 0.  A group takes this path when its guess is
-nonzero on all of it and its starting c lies inside the analytic bracket;
-it is accepted once every |h_i| is at its rounding floor, the Newton step
-in c is at most 256 ulps of c and c is still inside that bracket, within
-8 steps.
+One Newton step on (x, c), ``_joint_step``, drives both solves below.  The
+Jacobian of the two equations is an arrowhead, so a step costs a sum per
+group.  It accepts a group once every |h_i| is at its rounding floor and
+the step in c is below 256 ulps of c, or below what those h_i can make of
+it, which is more where phi is flat.
 
-Every other group, with no guess or not accepted, takes the bracketed
-zero find from the analytic ends.  It keeps a bracket [c_lo, c_hi] per
-group and steps by Newton's method on phi, with the derivative taken
-through the coordinate equations; a step that leaves the bracket, or that
-follows a step which failed to halve |phi|, is replaced by bisection at
-the geometric midpoint.  A group stops at phi's rounding floor: once a
-step fails to halve |phi| and is at most 256 ulps of c, because Newton
-closes in on c* from one side and bisecting there would walk the far end
-of the bracket, still the analytic one, in over decades.  The roots at
-the bracket ends are cached: x_i(c) is strictly decreasing in c, so they
-sandwich the root at any interior c and bracket the inner solves, which
-are Newton steps safeguarded by bisection inside that bracket.
+Given a guess at the answer (the solver passes its current iterate), a
+group whose guess is nonzero on all of it, with lam * ||guess||_q^(1-q)
+inside the analytic bracket, takes up to 8 of these steps from there, each
+damped to 0.9 of the way to x = 0 or c = 0, and keeps its x once a step
+accepts it with c inside that bracket.
+
+Every other group takes the bracketed zero find from the analytic ends.
+At each trial c it solves the coordinate equations, and the Newton step at
+those roots gives phi's sign, the next trial c + dc and the stop; an
+accepted group returns its roots moved by that step's dx.  A trial outside
+the bracket, or after a step that failed to halve |phi|, becomes a
+bisection at the geometric midpoint.  A group also stops at phi = 0 or at
+a bracket of float width.  The roots at the bracket ends are cached: x_i(c)
+is strictly decreasing in c, so they sandwich the root at any interior c
+and bracket the inner solves, Newton steps safeguarded by bisection.
 
 Both paths solve all general-q groups of a vector in one lock-step batch;
 each group stops independently once its own test passes, so batched
@@ -72,8 +71,8 @@ _MAX_OUTER = 400
 _MAX_INNER = 80
 # Four ulps of 1.0: the rounding floor used by the stopping tests.
 _EPS4 = 4.0 * np.finfo(np.float64).eps
-# a Newton step on phi this many ulps of c long, after one that failed to
-# halve |phi|, is at phi's rounding floor
+# a Newton step in c below this many ulps of c, with every inner residual
+# at its rounding floor, is at phi's rounding floor
 _FLOOR_ULPS = 256.0 * np.finfo(np.float64).eps
 # joint Newton steps on (x, c) before a group falls back to the bracket, and
 # the share of the way to the boundary x = 0 or c = 0 that one may cover
@@ -161,9 +160,9 @@ def _h_roots(v, c, q, lo, hi, x0=None):
     lo = lo.copy()
     hi = hi.copy()
     qm1 = q - 1.0
-    cq = c * qm1
     done = np.zeros(v.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cq = c * qm1
         x = np.clip(np.power(v / c, 1.0 / qm1) if x0 is None else x0, lo, hi)
         for _ in range(_MAX_INNER):
             h = x + c * np.power(x, qm1) - v
@@ -194,21 +193,6 @@ def _psi(x, starts, rep_sizes, q):
     return np.power(gmax, 1.0 - q) * np.power(sums, (1.0 - q) / q)
 
 
-def _dlog_psi(x, c, starts, rep_sizes, q):
-    """Per-group d(log psi)/dc at the roots x = x(c), max-rescaled.
-
-    Differentiating x + c x^(q-1) = v gives dx/dc = -x^(q-1) / h'(x), so
-    d(log psi)/dc = (q-1) * sum(x^(2q-2) / h'(x)) / sum(x^q).
-    """
-    gmax = np.maximum.reduceat(x, starts)
-    y = x / np.repeat(gmax, rep_sizes)
-    y_qm1 = np.power(y, q - 1.0)
-    dh = 1.0 + c * (q - 1.0) * np.power(x, q - 2.0)
-    num = np.add.reduceat(y_qm1 * y_qm1 / dh, starts)
-    den = np.add.reduceat(y_qm1 * y, starts)
-    return (q - 1.0) * np.power(gmax, q - 2.0) * num / den
-
-
 def _joint_step(v, x, c, starts, sizes, lam, q):
     """One Newton step on the coupled system, on every group at once.
 
@@ -222,9 +206,11 @@ def _joint_step(v, x, c, starts, sizes, lam, q):
         dx_i = -(h_i + x_i^(q-1) dc) / h'_i
 
     At h = 0 the denominator is 1 - lam psi d(log psi)/dc, and dc is the
-    Newton step on phi.  The sums are taken max-rescaled, like ``_psi``.
-    Returns dx, dc and, per group, whether every h_i is at its rounding
-    floor (the one ``_h_roots`` stops at) and |dc| at most 256 ulps of c.
+    Newton step on phi(c) = lam psi(x(c)) - c.  The sums are taken
+    max-rescaled, like ``_psi``.  Returns dx, dc, g and, per group, whether
+    the step accepts the group: every h_i at its rounding floor (the one
+    ``_h_roots`` stops at), and |dc| below 256 ulps of c or below what
+    those h_i can make of dc, which exceeds 256 ulps where phi is flat.
     """
     qm1 = q - 1.0
     c_rep = np.repeat(c, sizes)
@@ -238,11 +224,15 @@ def _joint_step(v, x, c, starts, sizes, lam, q):
     lam_psi = lam * np.power(gmax, -qm1) * np.power(sum_yq, -qm1 / q)
     # a_i, with x^(q-1) / sum(x^q) = y^(q-1) / (gmax sum(y^q))
     a = np.repeat(-qm1 * lam_psi / (gmax * sum_yq), sizes) * y_qm1
-    dc = ((lam_psi - c - np.add.reduceat(a * h / dh, starts))
-          / (1.0 + np.add.reduceat(a * x_qm1 / dh, starts)))
+    g = lam_psi - c
+    denom = 1.0 + np.add.reduceat(a * x_qm1 / dh, starts)
+    dc = (g - np.add.reduceat(a * h / dh, starts)) / denom
     dx = -(h + x_qm1 * np.repeat(dc, sizes)) / dh
-    floor = np.logical_and.reduceat(np.abs(h) <= _EPS4 * (v + dh * x), starts)
-    return dx, dc, floor & (np.abs(dc) <= _FLOOR_ULPS * c)
+    h_floor = _EPS4 * (v + dh * x)
+    floor = np.logical_and.reduceat(np.abs(h) <= h_floor, starts)
+    # the most of dc that h_i at their floor can make (every a_i <= 0)
+    dc_floor = np.abs(np.add.reduceat(a * h_floor / dh, starts) / denom)
+    return dx, dc, g, floor & (np.abs(dc) < np.maximum(_FLOOR_ULPS * c, dc_floor))
 
 
 def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
@@ -260,7 +250,7 @@ def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
     steps = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while steps < _MAX_JOINT:
-            dx, dc, at_floor = _joint_step(v, x, c, starts, sizes, lam, q)
+            dx, dc, _, at_floor = _joint_step(v, x, c, starts, sizes, lam, q)
             steps += 1
             done |= at_floor & (c > c_lo) & (c < c_hi)
             if done.all():
@@ -274,9 +264,10 @@ def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
     return x, done, steps
 
 
-def _general_q_batch(v, sizes, lam, q, guess=None):
+def _general_q_batch(v, sizes, lam, q, gn, guess=None):
     """Solve the general-q prox for every group of the concatenated positive
-    vector ``v`` (group g occupies sizes[g] consecutive entries).
+    vector ``v`` (group g occupies sizes[g] consecutive entries), whose
+    dual norms ||v_g||_qbar are ``gn``.
 
     Preconditions (caller-enforced): all entries strictly positive and
     finite, and lam < ||v_g||_qbar for every group g.  ``guess``, laid out
@@ -284,12 +275,10 @@ def _general_q_batch(v, sizes, lam, q, guess=None):
     starts from it when it is positive on the whole group and its
     c0 = lam psi(guess) lies inside the analytic bracket.  Returns the
     positive minimizers, concatenated the same way, the number of sweeps
-    (``_h_roots`` calls) and the number of joint Newton steps taken.
+    (``_h_roots`` calls) and the number of joint Newton steps
+    (``_joint_step`` calls) taken.
     """
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    qbar = q / (q - 1.0)
-
-    gn = group_norms(v, GroupPartition(tuple(int(s) for s in sizes)), qbar)
     eps = (gn - lam) / gn
     if np.any(eps <= 0.0):
         raise InvalidParameterError("general-q solve requires lam < ||v||_qbar for every group")
@@ -323,14 +312,17 @@ def _general_q_batch(v, sizes, lam, q, guess=None):
             cold[warm] = ~done
     if cold.any():
         sel = np.repeat(cold, sizes)
-        x[sel], sweeps = _bracketed(v[sel], sizes[cold], lam, q, c_lo[cold], c_hi[cold])
+        x[sel], sweeps, cold_steps = _bracketed(v[sel], sizes[cold], lam, q, c_lo[cold], c_hi[cold])
+        steps += cold_steps
     return x, sweeps, steps
 
 
 def _bracketed(v, sizes, lam, q, c_lo, c_hi):
-    """The cold outer zero find: bracketed Newton on phi from the analytic
-    bracket [c_lo, c_hi], every group at once.  Returns the roots and the
-    number of sweeps (``_h_roots`` calls) taken."""
+    """The cold outer zero find on phi from the analytic bracket
+    [c_lo, c_hi], every group at once.  Each trial c gets its roots from
+    ``_h_roots``, and ``_joint_step`` at those roots gives phi's sign, the
+    Newton step on c and the stop test.  Returns the roots, the number of
+    sweeps (``_h_roots`` calls) and the number of ``_joint_step`` calls."""
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     guard = 1e-9 * np.maximum(1.0, c_hi)
     # the roots at the bracket ends seed the inner bracket cache: x_hi holds
@@ -338,9 +330,10 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
     # bounds by x_hi
     x_hi = _h_roots(v, np.repeat(c_lo, sizes), q, np.zeros_like(v), v)
     x_lo = _h_roots(v, np.repeat(c_hi, sizes), q, np.zeros_like(v), x_hi)
-    sweeps = 2
-    phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
-    phi_hi = lam * _psi(x_lo, starts, sizes, q) - c_hi
+    sweeps, steps = 2, 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
+        phi_hi = lam * _psi(x_lo, starts, sizes, q) - c_hi
 
     if np.any(phi_lo < -guard) or np.any(phi_hi > guard):
         raise BracketError("phi lost its sign change on the initial bracket")
@@ -353,7 +346,7 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
     x_cur = np.where(np.repeat(at_hi, sizes), x_lo, x_hi)
 
     # the first trial is the secant through the endpoints, then Newton
-    # steps on phi; a trial outside the live bracket, or one taken after a
+    # steps on c; a trial outside the live bracket, or one taken after a
     # step that failed to halve |phi|, is replaced by the geometric
     # midpoint, which also halves brackets that span many decades quickly
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -364,11 +357,11 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
             break
         ok = (c_try > c_lo) & (c_try < c_hi)
         c_try = np.where(frozen, c, np.where(ok, c_try, np.sqrt(c_lo) * np.sqrt(c_hi)))
-        c_rep = np.repeat(c_try, sizes)
-        x_try = _h_roots(v, c_rep, q, x_lo, x_hi, x0=x_cur)
+        x_try = _h_roots(v, np.repeat(c_try, sizes), q, x_lo, x_hi, x0=x_cur)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            dx, dc, phi, accept = _joint_step(v, x_try, c_try, starts, sizes, lam, q)
         sweeps += 1
-        lam_psi = lam * _psi(x_try, starts, sizes, q)
-        phi = lam_psi - c_try
+        steps += 1
 
         live = ~frozen
         up = live & (phi > 0.0)
@@ -377,24 +370,20 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
         c_hi = np.where(dn, c_try, c_hi)
         x_hi = np.where(np.repeat(up, sizes), x_try, x_hi)
         x_lo = np.where(np.repeat(dn, sizes), x_try, x_lo)
+        # a group is done where joint Newton would accept it, and then
+        # returns its roots moved by that step's dx; or once the bracket
+        # pins c to float resolution
+        accept &= live
         x_cur = np.where(np.repeat(live, sizes), x_try, x_cur)
+        acc = np.repeat(accept, sizes)
+        x_cur[acc] += dx[acc]
         c = np.where(live, c_try, c)
-
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            step = phi / (lam_psi * _dlog_psi(x_try, c_rep, starts, sizes, q) - 1.0)
-        # done once c is pinned to float resolution, by the bracket or by
-        # a Newton step that no longer moves it, or once phi is at its
-        # rounding floor: |phi| stopped halving and the step is a few
-        # hundred ulps, where a bisection would only walk the far end in
+        frozen |= accept | (live & ((phi == 0.0) | ((c_hi - c_lo) <= _width_floor(c_hi))))
         slow = np.abs(phi) > 0.5 * abs_phi_prev
-        abs_step = np.abs(step)
-        frozen |= live & ((phi == 0.0) | ((c_hi - c_lo) <= _width_floor(c_hi))
-                          | (abs_step <= _EPS4 * c_try)
-                          | (slow & (abs_step <= _FLOOR_ULPS * c_try)))
-        c_try = np.where(slow, np.nan, c_try - step)
+        c_try = np.where(slow, np.nan, c_try + dc)
         abs_phi_prev = np.abs(phi)
 
-    return x_cur, sweeps
+    return x_cur, sweeps, steps
 
 
 def _width_floor(c_hi):
@@ -416,7 +405,8 @@ def prox_general_q(v_pos, lam: float, q: float):
         raise InvalidExponentError(f"general-q solve needs 1 < q < inf, got {q!r}")
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise InvalidParameterError(f"lam must be positive, got {lam!r}")
-    return _general_q_batch(v, np.array([v.size]), float(lam), float(q))[0]
+    gn = group_norms(v, GroupPartition((v.size,)), q / (q - 1.0))
+    return _general_q_batch(v, np.array([v.size]), float(lam), float(q), gn)[0]
 
 
 def prox_group(v, params: ProxParams) -> np.ndarray:
@@ -472,7 +462,7 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     if kind is QKind.INF:
         out[keep_c] = _inf_clip(kept, live_sizes, lam)
         return out, 0, 0
-    x, sweeps, steps = _general_q_batch(np.abs(kept), live_sizes, lam, q,
+    x, sweeps, steps = _general_q_batch(np.abs(kept), live_sizes, lam, q, gn[~zero_g],
                                         None if guess is None else np.abs(guess[keep_c]))
     out[keep_c] = np.sign(kept) * x
     return out, sweeps, steps

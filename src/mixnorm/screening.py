@@ -249,8 +249,9 @@ class PathResult:
     iterations = _per_step("iterations", "Solver iterations (0 where no solve ran).")
     backtracks = _per_step("backtracks", "Doublings of L in the solve.")
     restarts = _per_step("restarts", "Momentum resets in the solve.")
-    prox_sweeps = _per_step("prox_sweeps", "General-q prox sweeps in the solve.")
-    prox_joint_steps = _per_step("prox_joint_steps", "General-q prox joint Newton steps.")
+    prox_sweeps = _per_step("prox_sweeps", "General-q prox inner root sweeps in the solve.")
+    prox_joint_steps = _per_step("prox_joint_steps",
+                                 "General-q prox Newton steps on (x, c), warm and bracketed.")
     converged = _per_step("converged", "Solver converged flag (True where no solve ran).")
     groups_kept = _per_step("groups_kept", "Groups left after screening.")
     rejection_ratios = _per_step("rejection_ratio", "Discarded over truly zero groups.")

@@ -101,7 +101,7 @@ def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
 def test_general_q_path_sweep_budget(monkeypatch):
     # each prox call starts from the solver's iterate with joint Newton steps
     # on (x, c), and only the groups those do not certify take the
-    # bracketed zero find: 1.7 sweeps a call on these paths, against 5.6
+    # bracketed zero find: 1.5 sweeps a call on these paths, against 5.6
     # from a warm bracket and 9.4 from the analytic one
     base = gen_screening_instance(SynthSpec(m=50, d=100, num_groups=10, seed=1), q=1.5)
     sweeps, steps, calls = [], [], []

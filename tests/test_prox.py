@@ -5,11 +5,13 @@ mixnorm.oracle (grid search at resolution 0.02, i.e. final spacing 2e-5
 after refinement, and the brentq-based scalar solver at xtol 1e-14).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixnorm.errors import InputError, InvalidExponentError, InvalidParameterError
+from mixnorm.errors import BracketError, InputError, InvalidExponentError, InvalidParameterError
 from mixnorm.model import GroupPartition, GroupedVector, dual_exponent, group_norms, lq_norm
 from mixnorm import prox as prox_module
 from mixnorm.prox import (ProxParams, _prox_concat, prox_all, prox_general_q,
@@ -149,14 +151,21 @@ def test_general_q_optimality(q, rng):
         assert optimality_residual(x, v, lam, q) <= 1e-6
 
 
-@pytest.mark.parametrize("q", [1.5, 3.0, 5.0, 10.0])
-def test_general_q_optimality_across_scales(q, rng):
-    # the stopping rules are relative, so accuracy holds at every scale of v
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 5.0, 10.0, 20.0])
+def test_general_q_optimality_across_scales(q, rng, monkeypatch):
+    # the stopping rules are relative, so accuracy holds at every scale of v;
+    # the sweep count (``_h_roots`` calls) is pinned, so a change to the
+    # bracketed zero find shows up here
+    sweeps = []
+    h_roots = prox_module._h_roots
+    monkeypatch.setattr(prox_module, "_h_roots",
+                        lambda *args, **kwargs: sweeps.append(1) or h_roots(*args, **kwargs))
     for _ in range(40):
         v = rng.standard_normal(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-3, 3)
         lam = rng.uniform(0.05, 0.95) * lq_norm(v, dual_exponent(q))
         x = prox_group(v, ProxParams(lam=lam, q=q))
-        assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+        assert optimality_residual(x, v, lam, q) <= 1e-13 * np.abs(v).max()
+    assert len(sweeps) == {1.2: 189, 1.5: 191, 3.0: 209, 5.0: 261, 10.0: 343, 20.0: 414}[q]
 
 
 @pytest.mark.parametrize("slack", [1e-6, 1e-9, 1e-11])
@@ -168,6 +177,21 @@ def test_general_q_large_q_tiny_coordinate(slack):
     lam = lq_norm(v, dual_exponent(q)) * (1 - slack)
     x = prox_group(v, ProxParams(lam=lam, q=q))
     assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+
+
+def test_general_q_prox_emits_no_numpy_warnings():
+    # overflow in c (q - 1) at large q and in psi at the bracket ends is
+    # part of the computation; it must not reach the caller as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = np.array([0.4802581280570139, 1.2252818176322943e-07])
+        lam, q = 0.4802572127259937, 50.0
+        x = prox_group(v, ProxParams(lam=lam, q=q))
+        assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+        # c* is above the float range here, a known BracketError
+        with pytest.raises(BracketError):
+            prox_group(np.array([-2.745208185247936e-10, 3.868895335877817e-12]),
+                       ProxParams(lam=2.774540658616903e-10, q=20.0))
 
 
 def test_general_q_small_q_roots_decades_below_coordinates():
@@ -275,7 +299,7 @@ def test_warm_start_never_changes_the_answer(q, rng):
         # lam near the median zero threshold leaves some groups at zero
         lam = float(rng.uniform(0.2, 1.2) * np.median(group_norms(v, part, dual_exponent(q))))
         cold, cold_sweeps, cold_steps = _prox_concat(v, part, lam, q)
-        assert cold_steps == 0
+        assert cold_steps == max(cold_sweeps - 2, 0)
         tol = 1e-14 * np.abs(v).max()
         warm_guesses = [cold * s for s in (1.0, 1e-8, 0.5, 2.0, 1e8)]
         warm_guesses += [rng.uniform(1e-3, 2.0, part.p) * np.abs(v) for _ in range(3)]
@@ -291,7 +315,7 @@ def test_warm_start_never_changes_the_answer(q, rng):
             zeroed[part.starts[g] + np.argmax(np.abs(cold[part.slice(g)]))] = 0.0
         for guess in (zeroed, cold * 1e-300, cold * 1e300):
             out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
-            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == 0
+            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == cold_steps
 
 
 def test_warm_start_at_large_q_falls_back_when_newton_stalls():
