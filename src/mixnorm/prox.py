@@ -26,23 +26,24 @@ One Newton step on (x, c), ``_joint_step``, drives both solves below.  The
 Jacobian of the two equations is an arrowhead, so a step costs a sum per
 group.  It accepts a group once every |h_i| is at its rounding floor and
 the step in c is below 256 ulps of c, or below what those h_i can make of
-it, which is more where phi is flat.
+it, which is more where phi is flat; an accepted group returns its x moved
+by that step's dx, one final Newton correction.
 
 Given a guess at the answer (the solver passes its current iterate), a
 group whose guess is nonzero on all of it, with lam * ||guess||_q^(1-q)
 inside the analytic bracket, takes up to 8 of these steps from there, each
-damped to 0.9 of the way to x = 0 or c = 0, and keeps its x once a step
+damped to 0.9 of the way to x = 0 or c = 0, and is done once a step
 accepts it with c inside that bracket.
 
 Every other group takes the bracketed zero find from the analytic ends.
 At each trial c it solves the coordinate equations, and the Newton step at
-those roots gives phi's sign, the next trial c + dc and the stop; an
-accepted group returns its roots moved by that step's dx.  A trial outside
-the bracket, or after a step that failed to halve |phi|, becomes a
-bisection at the geometric midpoint.  A group also stops at phi = 0 or at
-a bracket of float width.  The roots at the bracket ends are cached: x_i(c)
-is strictly decreasing in c, so they sandwich the root at any interior c
-and bracket the inner solves, Newton steps safeguarded by bisection.
+those roots gives phi's sign, the next trial c + dc and the stop.  A
+trial outside the bracket, or after a step that failed to halve |phi|,
+becomes a bisection at the geometric midpoint.  A group also stops at
+phi = 0 or at a bracket of float width.  The roots at the bracket ends
+are cached: x_i(c) is strictly decreasing in c, so they sandwich the root
+at any interior c and bracket the inner solves, Newton steps safeguarded
+by bisection.
 
 Both paths solve all general-q groups of a vector in one lock-step batch;
 each group stops independently once its own test passes, so batched
@@ -240,21 +241,26 @@ def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
 
     Each step is damped to 0.9 of the way to the boundary x = 0 or c = 0,
     so the iterate stays positive.  A group is done once ``_joint_step``
-    finds its residuals at the rounding floor with c inside the analytic
-    bracket (c_lo, c_hi); it then keeps its x.  Returns the roots, which
-    groups are done, and the number of steps taken (at most
-    ``_MAX_JOINT``).
+    accepts it with c inside the analytic bracket (c_lo, c_hi); it then
+    keeps its x moved by that step's dx, as ``_bracketed`` does, and
+    takes no further step.  Returns the roots, which groups are done, and
+    the number of steps taken (at most ``_MAX_JOINT``).
     """
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     done = np.zeros(sizes.size, dtype=bool)
     steps = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while steps < _MAX_JOINT:
-            dx, dc, _, at_floor = _joint_step(v, x, c, starts, sizes, lam, q)
+            dx, dc, _, accept = _joint_step(v, x, c, starts, sizes, lam, q)
             steps += 1
-            done |= at_floor & (c > c_lo) & (c < c_hi)
-            if done.all():
-                break
+            accept &= ~done & (c > c_lo) & (c < c_hi)
+            if accept.any():
+                # an accepted group takes its whole step in x, one final
+                # correction, and no step after it
+                x = np.where(np.repeat(accept, sizes), x + dx, x)
+                done |= accept
+                if done.all():
+                    break
             # the longest step that keeps every entry, and c, positive
             reach = np.minimum(np.minimum.reduceat(np.where(dx < 0.0, x / -dx, np.inf), starts),
                                np.where(dc < 0.0, c / -dc, np.inf))
@@ -275,8 +281,8 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
     starts from it when it is positive on the whole group and its
     c0 = lam psi(guess) lies inside the analytic bracket.  Returns the
     positive minimizers, concatenated the same way, the number of sweeps
-    (``_h_roots`` calls) and the number of joint Newton steps
-    (``_joint_step`` calls) taken.
+    (``_h_roots`` calls) and the number of joint Newton steps taken from
+    the guess.
     """
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     eps = (gn - lam) / gn
@@ -312,8 +318,7 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
             cold[warm] = ~done
     if cold.any():
         sel = np.repeat(cold, sizes)
-        x[sel], sweeps, cold_steps = _bracketed(v[sel], sizes[cold], lam, q, c_lo[cold], c_hi[cold])
-        steps += cold_steps
+        x[sel], sweeps = _bracketed(v[sel], sizes[cold], lam, q, c_lo[cold], c_hi[cold])
     return x, sweeps, steps
 
 
@@ -321,8 +326,8 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
     """The cold outer zero find on phi from the analytic bracket
     [c_lo, c_hi], every group at once.  Each trial c gets its roots from
     ``_h_roots``, and ``_joint_step`` at those roots gives phi's sign, the
-    Newton step on c and the stop test.  Returns the roots, the number of
-    sweeps (``_h_roots`` calls) and the number of ``_joint_step`` calls."""
+    Newton step on c and the stop test.  Returns the roots and the number
+    of sweeps (``_h_roots`` calls) taken."""
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     guard = 1e-9 * np.maximum(1.0, c_hi)
     # the roots at the bracket ends seed the inner bracket cache: x_hi holds
@@ -330,7 +335,7 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
     # bounds by x_hi
     x_hi = _h_roots(v, np.repeat(c_lo, sizes), q, np.zeros_like(v), v)
     x_lo = _h_roots(v, np.repeat(c_hi, sizes), q, np.zeros_like(v), x_hi)
-    sweeps, steps = 2, 0
+    sweeps = 2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
         phi_hi = lam * _psi(x_lo, starts, sizes, q) - c_hi
@@ -361,7 +366,6 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             dx, dc, phi, accept = _joint_step(v, x_try, c_try, starts, sizes, lam, q)
         sweeps += 1
-        steps += 1
 
         live = ~frozen
         up = live & (phi > 0.0)
@@ -383,7 +387,7 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
         c_try = np.where(slow, np.nan, c_try + dc)
         abs_phi_prev = np.abs(phi)
 
-    return x_cur, sweeps, steps
+    return x_cur, sweeps
 
 
 def _width_floor(c_hi):
@@ -428,7 +432,8 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     ``guess``, laid out like ``values``, is an estimate of the answer that
     only the general-q solve reads, as its starting point.  Returns the
     prox, the number of general-q sweeps (``_h_roots`` calls) and the
-    number of joint Newton steps taken (both 0 for q in {1, 2, inf}).
+    number of joint Newton steps taken from the guess (both 0 for q in
+    {1, 2, inf}).
     """
     if lam == 0.0:
         return values.copy(), 0, 0

@@ -105,12 +105,18 @@ def test_general_q_path_sweep_budget(monkeypatch):
     # from a warm bracket and 9.4 from the analytic one
     base = gen_screening_instance(SynthSpec(m=50, d=100, num_groups=10, seed=1), q=1.5)
     sweeps, steps, calls = [], [], []
-    h_roots, joint_step = prox_module._h_roots, prox_module._joint_step
+    h_roots, joint_newton = prox_module._h_roots, prox_module._joint_newton
     prox = solver_module._prox_concat
+
+    def counted_joint_newton(*args):
+        # the cold loop calls _joint_step too; only steps from the guess count
+        x, done, n = joint_newton(*args)
+        steps.append(n)
+        return x, done, n
+
     monkeypatch.setattr(prox_module, "_h_roots",
                         lambda *args, **kwargs: sweeps.append(1) or h_roots(*args, **kwargs))
-    monkeypatch.setattr(prox_module, "_joint_step",
-                        lambda *args: steps.append(1) or joint_step(*args))
+    monkeypatch.setattr(prox_module, "_joint_newton", counted_joint_newton)
     monkeypatch.setattr(solver_module, "_prox_concat",
                         lambda *args: calls.append(1) or prox(*args))
     spec = PathSpec(ratios=(1.0, 0.9, 0.8), screening=False, solver=SolverConfig(tol=1e-8))
@@ -121,7 +127,7 @@ def test_general_q_path_sweep_budget(monkeypatch):
         reported += int(out.prox_sweeps.sum())
         reported_steps += int(out.prox_joint_steps.sum())
     assert reported == len(sweeps)
-    assert reported_steps == len(steps) > 0
+    assert reported_steps == sum(steps) > 0
     assert len(sweeps) <= 2.5 * len(calls)
 
 

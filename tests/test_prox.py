@@ -154,8 +154,8 @@ def test_general_q_optimality(q, rng):
 @pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 5.0, 10.0, 20.0])
 def test_general_q_optimality_across_scales(q, rng, monkeypatch):
     # the stopping rules are relative, so accuracy holds at every scale of v;
-    # the sweep count (``_h_roots`` calls) is pinned, so a change to the
-    # bracketed zero find shows up here
+    # the sweep count (``_h_roots`` calls) is bounded, so a change that
+    # makes the bracketed zero find slower shows up here
     sweeps = []
     h_roots = prox_module._h_roots
     monkeypatch.setattr(prox_module, "_h_roots",
@@ -165,7 +165,7 @@ def test_general_q_optimality_across_scales(q, rng, monkeypatch):
         lam = rng.uniform(0.05, 0.95) * lq_norm(v, dual_exponent(q))
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-13 * np.abs(v).max()
-    assert len(sweeps) == {1.2: 189, 1.5: 191, 3.0: 209, 5.0: 261, 10.0: 343, 20.0: 414}[q]
+    assert len(sweeps) <= {1.2: 189, 1.5: 191, 3.0: 209, 5.0: 261, 10.0: 343, 20.0: 414}[q]
 
 
 @pytest.mark.parametrize("slack", [1e-6, 1e-9, 1e-11])
@@ -299,7 +299,7 @@ def test_warm_start_never_changes_the_answer(q, rng):
         # lam near the median zero threshold leaves some groups at zero
         lam = float(rng.uniform(0.2, 1.2) * np.median(group_norms(v, part, dual_exponent(q))))
         cold, cold_sweeps, cold_steps = _prox_concat(v, part, lam, q)
-        assert cold_steps == max(cold_sweeps - 2, 0)
+        assert cold_steps == 0
         tol = 1e-14 * np.abs(v).max()
         warm_guesses = [cold * s for s in (1.0, 1e-8, 0.5, 2.0, 1e8)]
         warm_guesses += [rng.uniform(1e-3, 2.0, part.p) * np.abs(v) for _ in range(3)]
@@ -315,7 +315,7 @@ def test_warm_start_never_changes_the_answer(q, rng):
             zeroed[part.starts[g] + np.argmax(np.abs(cold[part.slice(g)]))] = 0.0
         for guess in (zeroed, cold * 1e-300, cold * 1e300):
             out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
-            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == cold_steps
+            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == 0
 
 
 def test_warm_start_at_large_q_falls_back_when_newton_stalls():
@@ -330,7 +330,7 @@ def test_warm_start_at_large_q_falls_back_when_newton_stalls():
     out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
     assert optimality_residual(out, v, lam, q) <= 1e-14 * np.abs(v).max()
     assert np.abs(out - cold).max() <= 1e-14 * np.abs(v).max()
-    assert sweeps == cold_sweeps and steps > 0
+    assert sweeps == cold_sweeps and steps == prox_module._MAX_JOINT
 
 
 # ---------------------------------------------------------------------------
