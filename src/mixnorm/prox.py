@@ -13,7 +13,8 @@ exponent), it inherits the signs of v, and on the support it satisfies
 after reducing to positive v.  ``_prox_concat`` takes every group of a flat
 vector at once; ``prox_group`` is its one-group case.  q = 1 (soft
 threshold), q = 2 (norm shrinkage) and q = inf (clip at the l1-ball
-projection threshold, one segmented sort over all groups) have closed forms.
+projection threshold, one segmented sort over all groups) have closed forms,
+as has a group with one nonzero entry at every q: the soft threshold.
 For general finite q the optimality system is solved through the scalar
 substitution c = lam * ||x||_q^(1-q):
 
@@ -29,21 +30,22 @@ the step in c is below 256 ulps of c, or below what those h_i can make of
 it, which is more where phi is flat; an accepted group returns its x moved
 by that step's dx, one final Newton correction.
 
-Given a guess at the answer (the solver passes its current iterate), a
-group whose guess is nonzero on all of it, with lam * ||guess||_q^(1-q)
-inside the analytic bracket, takes up to 8 of these steps from there, each
-damped to 0.9 of the way to x = 0 or c = 0, and is done once a step
-accepts it with c inside that bracket.
+Every group takes up to 8 of these steps, in log x and log c, so the
+iterate stays positive and inside the analytic bracket.  A group starts
+from a guess at the answer (the solver passes its current iterate) when
+the guess is nonzero on all of it with lam psi(guess) inside the bracket;
+else from the roots at the c of the q = 2 shrink v (1 - lam / ||v||_qbar),
+with c moved to lam psi of those roots, one sweep for all such groups.
 
-Every other group takes the bracketed zero find from the analytic ends.
-At each trial c it solves the coordinate equations, and the Newton step at
-those roots gives phi's sign, the next trial c + dc and the stop.  A
-trial outside the bracket, or after a step that failed to halve |phi|,
-becomes a bisection at the geometric midpoint.  A group also stops at
-phi = 0 or at a bracket of float width.  The roots at the bracket ends
-are cached: x_i(c) is strictly decreasing in c, so they sandwich the root
-at any interior c and bracket the inner solves, Newton steps safeguarded
-by bisection.
+The groups that joint Newton does not accept take the bracketed zero find
+from the analytic ends.  At each trial c it solves the coordinate
+equations, and the Newton step at those roots gives phi's sign, the next
+trial c + dc and the stop.  A trial outside the bracket, or after a step
+that failed to halve |phi|, becomes a bisection at the geometric midpoint.
+A group also stops at phi = 0 or at a bracket of float width.  The roots
+at the bracket ends are cached: x_i(c) is strictly decreasing in c, so
+they sandwich the root at any interior c and bracket the inner solves,
+Newton steps safeguarded by bisection.
 
 Both paths solve all general-q groups of a vector in one lock-step batch;
 each group stops independently once its own test passes, so batched
@@ -75,10 +77,8 @@ _EPS4 = 4.0 * np.finfo(np.float64).eps
 # a Newton step in c below this many ulps of c, with every inner residual
 # at its rounding floor, is at phi's rounding floor
 _FLOOR_ULPS = 256.0 * np.finfo(np.float64).eps
-# joint Newton steps on (x, c) before a group falls back to the bracket, and
-# the share of the way to the boundary x = 0 or c = 0 that one may cover
+# joint Newton steps on (x, c) before a group falls back to the bracket
 _MAX_JOINT = 8
-_TO_BOUNDARY = 0.9
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,11 @@ def _validate_group_input(v) -> np.ndarray:
     return v
 
 
+def _starts(sizes):
+    """Offset of each group's first entry."""
+    return np.concatenate(([0], np.cumsum(sizes)))[:-1]
+
+
 def _inf_clip(values, sizes, lam):
     """Prox of lam * ||.||_inf on every group of the flat ``values`` (group g
     occupies sizes[g] entries), given lam < ||v_g||_1 for all g.
@@ -121,7 +126,7 @@ def _inf_clip(values, sizes, lam):
     where each group adds about 1, and the top-j_g sum within the group.
     """
     a = np.abs(values)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    starts = _starts(sizes)
     asort = a[np.lexsort((-a, np.repeat(np.arange(sizes.size), sizes)))]
     l1 = np.repeat(np.add.reduceat(asort, starts), sizes)
     rank = np.arange(1, a.size + 1) - np.repeat(starts, sizes)
@@ -237,36 +242,24 @@ def _joint_step(v, x, c, starts, sizes, lam, q):
 
 
 def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
-    """Newton's method on (x, c) together, from a guess at the answer.
-
-    Each step is damped to 0.9 of the way to the boundary x = 0 or c = 0,
-    so the iterate stays positive.  A group is done once ``_joint_step``
-    accepts it with c inside the analytic bracket (c_lo, c_hi); it then
-    keeps its x moved by that step's dx, as ``_bracketed`` does, and
-    takes no further step.  Returns the roots, which groups are done, and
-    the number of steps taken (at most ``_MAX_JOINT``).
+    """Newton's method on (x, c) together, from x in (0, v] and c in
+    [c_lo, c_hi].  Steps are taken in log x and log c, x <- min(x e^(dx/x), v)
+    and c <- clip(c e^(dc/c), c_lo, c_hi), so the iterate stays in the
+    analytic bracket.  A group is done once ``_joint_step`` accepts it; it
+    keeps its x moved by that step's dx, one final correction, and takes no
+    further step.  Returns the roots, which groups are done, and the number
+    of steps taken (at most ``_MAX_JOINT``).
     """
-    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+    starts = _starts(sizes)
     done = np.zeros(sizes.size, dtype=bool)
     steps = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while steps < _MAX_JOINT:
+        while steps < _MAX_JOINT and not done.all():
             dx, dc, _, accept = _joint_step(v, x, c, starts, sizes, lam, q)
             steps += 1
-            accept &= ~done & (c > c_lo) & (c < c_hi)
-            if accept.any():
-                # an accepted group takes its whole step in x, one final
-                # correction, and no step after it
-                x = np.where(np.repeat(accept, sizes), x + dx, x)
-                done |= accept
-                if done.all():
-                    break
-            # the longest step that keeps every entry, and c, positive
-            reach = np.minimum(np.minimum.reduceat(np.where(dx < 0.0, x / -dx, np.inf), starts),
-                               np.where(dc < 0.0, c / -dc, np.inf))
-            t = np.where(done, 0.0, np.minimum(1.0, _TO_BOUNDARY * reach))
-            x = x + np.repeat(t, sizes) * dx
-            c = c + t * dc
+            x = np.where(np.repeat(done, sizes), x, np.minimum(x * np.exp(dx / x), v))
+            c = np.where(done, c, np.clip(c * np.exp(dc / c), c_lo, c_hi))
+            done |= accept
     return x, done, steps
 
 
@@ -277,14 +270,14 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
 
     Preconditions (caller-enforced): all entries strictly positive and
     finite, and lam < ||v_g||_qbar for every group g.  ``guess``, laid out
-    like ``v``, is an estimate of the minimizer's magnitudes; a group
-    starts from it when it is positive on the whole group and its
-    c0 = lam psi(guess) lies inside the analytic bracket.  Returns the
-    positive minimizers, concatenated the same way, the number of sweeps
-    (``_h_roots`` calls) and the number of joint Newton steps taken from
-    the guess.
+    like ``v``, estimates the minimizer's magnitudes.  Each group starts
+    joint Newton from it, or from the roots x0 at c_f = lam psi(v eps) with
+    c0 = lam psi(x0) (module docstring); the groups joint Newton does not
+    accept take ``_bracketed``.  Returns the positive minimizers,
+    concatenated the same way, the number of sweeps (``_h_roots`` calls)
+    and the number of joint Newton steps.
     """
-    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+    starts = _starts(sizes)
     eps = (gn - lam) / gn
     if np.any(eps <= 0.0):
         raise InvalidParameterError("general-q solve requires lam < ||v||_qbar for every group")
@@ -304,21 +297,22 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
     if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
         raise BracketError("outer bracket overflowed; inputs out of numerical range")
 
-    x = np.empty_like(v)
-    cold = np.ones(sizes.size, dtype=bool)
-    steps = sweeps = 0
-    if guess is not None:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            c0 = lam * _psi(guess, starts, sizes, q)
-        warm = (np.minimum.reduceat(guess, starts) > 0.0) & (c0 > c_lo) & (c0 < c_hi)
-        if warm.any():
-            sel = np.repeat(warm, sizes)
-            x[sel], done, steps = _joint_newton(v[sel], sizes[warm], lam, q, guess[sel],
-                                                c0[warm], c_lo[warm], c_hi[warm])
-            cold[warm] = ~done
-    if cold.any():
-        sel = np.repeat(cold, sizes)
-        x[sel], sweeps = _bracketed(v[sel], sizes[cold], lam, q, c_lo[cold], c_hi[cold])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # no guess is a zero guess, which starts every group fresh
+        x = np.zeros_like(v) if guess is None else guess.copy()
+        c0 = lam * _psi(x, starts, sizes, q)
+        fresh = ~((np.minimum.reduceat(x, starts) > 0.0) & (c0 > c_lo) & (c0 < c_hi))
+        if fresh.any():
+            sel = np.repeat(fresh, sizes)
+            c_f = np.clip(lam * _psi(v * eps_c, starts, sizes, q), c_lo, c_hi)
+            x[sel] = _h_roots(v[sel], np.repeat(c_f, sizes)[sel], q, np.zeros(sel.sum()), v[sel])
+            c0 = np.clip(lam * _psi(x, starts, sizes, q), c_lo, c_hi)
+    x, done, steps = _joint_newton(v, sizes, lam, q, x, c0, c_lo, c_hi)
+    sweeps = int(fresh.any())
+    if not done.all():
+        sel = np.repeat(~done, sizes)
+        x[sel], cold_sweeps = _bracketed(v[sel], sizes[~done], lam, q, c_lo[~done], c_hi[~done])
+        sweeps += cold_sweeps
     return x, sweeps, steps
 
 
@@ -328,7 +322,7 @@ def _bracketed(v, sizes, lam, q, c_lo, c_hi):
     ``_h_roots``, and ``_joint_step`` at those roots gives phi's sign, the
     Newton step on c and the stop test.  Returns the roots and the number
     of sweeps (``_h_roots`` calls) taken."""
-    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+    starts = _starts(sizes)
     guard = 1e-9 * np.maximum(1.0, c_hi)
     # the roots at the bracket ends seed the inner bracket cache: x_hi holds
     # the roots at c_lo and x_lo the roots at c_hi, which x(c) decreasing
@@ -432,8 +426,7 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     ``guess``, laid out like ``values``, is an estimate of the answer that
     only the general-q solve reads, as its starting point.  Returns the
     prox, the number of general-q sweeps (``_h_roots`` calls) and the
-    number of joint Newton steps taken from the guess (both 0 for q in
-    {1, 2, inf}).
+    number of joint Newton steps (both 0 for q in {1, 2, inf}).
     """
     if lam == 0.0:
         return values.copy(), 0, 0
@@ -467,8 +460,15 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     if kind is QKind.INF:
         out[keep_c] = _inf_clip(kept, live_sizes, lam)
         return out, 0, 0
-    x, sweeps, steps = _general_q_batch(np.abs(kept), live_sizes, lam, q, gn[~zero_g],
-                                        None if guess is None else np.abs(guess[keep_c]))
+    # one nonzero entry: no zero find, whose c can overflow where x cannot
+    x = np.abs(kept) - lam
+    sweeps = steps = 0
+    multi = live_sizes > 1
+    if multi.any():
+        sel = np.repeat(multi, live_sizes)
+        x[sel], sweeps, steps = _general_q_batch(
+            np.abs(kept[sel]), live_sizes[multi], lam, q, gn[~zero_g][multi],
+            None if guess is None else np.abs(guess[keep_c][sel]))
     out[keep_c] = np.sign(kept) * x
     return out, sweeps, steps
 

@@ -115,7 +115,8 @@ def test_solve_writes_solution_and_json(tmp_path, rng, capsys):
     code = main(["solve", *data_args(tmp_path), "--q", "1.5", "--ratio", "0.5", "--json"])
     assert code == 0
     info = json.loads(capsys.readouterr().out)
-    # the first prox call has no iterate to start from; later ones do
+    # the first prox call has no iterate to start from and sweeps once for
+    # a fresh start; every call takes joint Newton steps
     assert info["prox_sweeps"] > 0 and info["prox_joint_steps"] > 0
 
 

@@ -91,6 +91,12 @@ def test_single_coordinate_any_q_is_soft_threshold():
         lam = 1e-8 * v
         x = prox_group(np.array([v]), ProxParams(lam=lam, q=q))
         assert x[0] == pytest.approx(v - lam, rel=1e-12)
+    # c* = lam |v|^(1-q) is above the float range at q = 20 and 50, where the
+    # general-q solve raised BracketError; one nonzero entry never reaches it
+    v = np.array([0.0, -1.5582392425233504e-11, 0.0])
+    lam = 1.5582392425233504e-11 * (1 - 5.24e-7)
+    for q in (1.5, 20.0, 50.0):
+        assert np.array_equal(prox_group(v, ProxParams(lam=lam, q=q)), soft_threshold(v, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +161,8 @@ def test_general_q_optimality(q, rng):
 def test_general_q_optimality_across_scales(q, rng, monkeypatch):
     # the stopping rules are relative, so accuracy holds at every scale of v;
     # the sweep count (``_h_roots`` calls) is bounded, so a change that
-    # makes the bracketed zero find slower shows up here
+    # makes the fresh start certify fewer groups, or the bracketed zero
+    # find slower, shows up here
     sweeps = []
     h_roots = prox_module._h_roots
     monkeypatch.setattr(prox_module, "_h_roots",
@@ -165,7 +172,7 @@ def test_general_q_optimality_across_scales(q, rng, monkeypatch):
         lam = rng.uniform(0.05, 0.95) * lq_norm(v, dual_exponent(q))
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-13 * np.abs(v).max()
-    assert len(sweeps) <= {1.2: 189, 1.5: 191, 3.0: 209, 5.0: 261, 10.0: 343, 20.0: 414}[q]
+    assert len(sweeps) <= {1.2: 33, 1.5: 33, 3.0: 33, 5.0: 33, 10.0: 44, 20.0: 152}[q]
 
 
 @pytest.mark.parametrize("slack", [1e-6, 1e-9, 1e-11])
@@ -188,10 +195,17 @@ def test_general_q_prox_emits_no_numpy_warnings():
         lam, q = 0.4802572127259937, 50.0
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
-        # c* is above the float range here, a known BracketError
+        # the bracket lost phi's sign change here; joint Newton from the
+        # fresh start certifies the answer without it
+        v = np.array([-2.745208185247936e-10, 3.868895335877817e-12])
+        lam, q = 2.774540658616903e-10, 20.0
+        x = prox_group(v, ProxParams(lam=lam, q=q))
+        assert optimality_residual(x, v, lam, q) <= 1e-14 * np.abs(v).max()
+        # the analytic bracket overflows here, a known BracketError
         with pytest.raises(BracketError):
-            prox_group(np.array([-2.745208185247936e-10, 3.868895335877817e-12]),
-                       ProxParams(lam=2.774540658616903e-10, q=20.0))
+            prox_group(np.array([0.00013110521396422447, -5.817048304025612e-07,
+                                 0.0716308123802742]),
+                       ProxParams(lam=0.07175311072263263, q=100.0))
 
 
 def test_general_q_small_q_roots_decades_below_coordinates():
@@ -286,21 +300,36 @@ def test_newton_at_phi_rounding_floor_stops_without_bisecting(monkeypatch):
     assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
 
 
+def bracketed_reference(monkeypatch, v, part, lam, q):
+    """The prox with joint Newton accepting nothing, so that every general-q
+    group takes the bracketed zero find."""
+    with monkeypatch.context() as m:
+        m.setattr(prox_module, "_joint_newton",
+                  lambda v, sizes, *args: (v, np.zeros(sizes.size, dtype=bool), 0))
+        return _prox_concat(v, part, lam, q)[0]
+
+
+def random_multi_group_call(rng, q):
+    sizes = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(2, 9))))
+    part = GroupPartition(sizes)
+    v = rng.standard_normal(part.p) * np.repeat(10.0 ** rng.uniform(-2, 2, part.s), sizes)
+    v[rng.random(part.p) < 0.1] = 0.0
+    # lam near the median zero threshold leaves some groups at zero
+    lam = float(rng.uniform(0.2, 1.2) * np.median(group_norms(v, part, dual_exponent(q))))
+    return v, part, lam
+
+
 @pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 8.0, 20.0])
-def test_warm_start_never_changes_the_answer(q, rng):
-    # a guess only moves where the solve starts; a group whose guess has a
+def test_warm_start_never_changes_the_answer(q, rng, monkeypatch):
+    # a guess only moves where joint Newton starts; a group whose guess has a
     # zero, or whose c0 = lam ||guess||_q^(1-q) is outside the analytic
-    # bracket, takes the bracketed zero find, exactly as with no guess at all
+    # bracket, starts fresh, exactly as with no guess at all
     for _ in range(25):
-        sizes = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(2, 9))))
-        part = GroupPartition(sizes)
-        v = rng.standard_normal(part.p) * np.repeat(10.0 ** rng.uniform(-2, 2, part.s), sizes)
-        v[rng.random(part.p) < 0.1] = 0.0
-        # lam near the median zero threshold leaves some groups at zero
-        lam = float(rng.uniform(0.2, 1.2) * np.median(group_norms(v, part, dual_exponent(q))))
-        cold, cold_sweeps, cold_steps = _prox_concat(v, part, lam, q)
-        assert cold_steps == 0
+        v, part, lam = random_multi_group_call(rng, q)
         tol = 1e-14 * np.abs(v).max()
+        ref = bracketed_reference(monkeypatch, v, part, lam, q)
+        cold, cold_sweeps, cold_steps = _prox_concat(v, part, lam, q)
+        assert np.abs(cold - ref).max() <= tol
         warm_guesses = [cold * s for s in (1.0, 1e-8, 0.5, 2.0, 1e8)]
         warm_guesses += [rng.uniform(1e-3, 2.0, part.p) * np.abs(v) for _ in range(3)]
         warm_guesses += [rng.uniform(0.1, 10.0, part.p)]
@@ -309,28 +338,46 @@ def test_warm_start_never_changes_the_answer(q, rng):
                          for sigma in (1e-8, 1e-4, 1e-2, 0.3)]
         for guess in warm_guesses:
             out, _, _ = _prox_concat(v, part, lam, q, guess)
-            assert np.abs(out - cold).max() <= tol
+            assert np.abs(out - ref).max() <= tol
         zeroed = cold.copy()
         for g in range(part.s):
             zeroed[part.starts[g] + np.argmax(np.abs(cold[part.slice(g)]))] = 0.0
         for guess in (zeroed, cold * 1e-300, cold * 1e300):
             out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
-            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == 0
+            assert np.array_equal(out, cold) and sweeps == cold_sweeps and steps == cold_steps
 
 
-def test_warm_start_at_large_q_falls_back_when_newton_stalls():
-    # from this guess at q = 20, inner roots solved at c0 stop far above
-    # their rounding floor, and a bracket opened on them excludes c*; the
-    # joint start does not certify an answer here, so the cold path answers
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 8.0, 20.0])
+def test_fresh_start_matches_bracketed_zero_find(q, rng, monkeypatch):
+    # joint Newton from the shrink start, or from the solver's iterate,
+    # returns what the bracketed zero find alone returns
+    for _ in range(300):
+        v, part, lam = random_multi_group_call(rng, q)
+        tol = 1e-14 * np.abs(v).max()
+        ref = bracketed_reference(monkeypatch, v, part, lam, q)
+        cold = _prox_concat(v, part, lam, q)[0]
+        assert np.abs(cold - ref).max() <= tol
+        for sigma in (1e-3, 0.3):
+            guess = cold * np.exp(sigma * rng.standard_normal(part.p))
+            assert np.abs(_prox_concat(v, part, lam, q, guess)[0] - ref).max() <= tol
+
+
+def test_warm_start_at_large_q_falls_back_when_newton_stalls(monkeypatch):
+    # from this guess at q = 20, joint Newton does not certify an answer
+    # within its step budget, so the bracketed zero find answers
     v = np.array([0.1101401565827222, 0.07678912606297768])
     guess = np.array([0.0009923441308011044, 0.0005874939676119461])
     lam, q = 0.1789665303350068, 20.0
     part = GroupPartition((2,))
-    cold, cold_sweeps, _ = _prox_concat(v, part, lam, q)
-    out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
+    cold = _prox_concat(v, part, lam, q)[0]
+    calls = []
+    bracketed = prox_module._bracketed
+    monkeypatch.setattr(prox_module, "_bracketed",
+                        lambda *args: calls.append(1) or bracketed(*args))
+    out, _, steps = _prox_concat(v, part, lam, q, guess)
     assert optimality_residual(out, v, lam, q) <= 1e-14 * np.abs(v).max()
     assert np.abs(out - cold).max() <= 1e-14 * np.abs(v).max()
-    assert sweeps == cold_sweeps and steps == prox_module._MAX_JOINT
+    assert calls and steps == prox_module._MAX_JOINT
 
 
 # ---------------------------------------------------------------------------
