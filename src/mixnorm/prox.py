@@ -38,14 +38,14 @@ else from the roots at the c of the q = 2 shrink v (1 - lam / ||v||_qbar),
 with c moved to lam psi of those roots, one sweep for all such groups.
 
 The groups that joint Newton does not accept take the bracketed zero find
-from the analytic ends.  At each trial c it solves the coordinate
-equations, and the Newton step at those roots gives phi's sign, the next
-trial c + dc and the stop.  A trial outside the bracket, or after a step
-that failed to halve |phi|, becomes a bisection at the geometric midpoint.
-A group also stops at phi = 0 or at a bracket of float width.  The roots
-at the bracket ends are cached: x_i(c) is strictly decreasing in c, so
-they sandwich the root at any interior c and bracket the inner solves,
-Newton steps safeguarded by bisection.
+on phi from the same start c and the analytic ends.  At each trial c it
+solves the coordinate equations afresh inside (0, v_i), from the upper
+bound (v_i / c)^(1/(q-1)), and the Newton step at those roots gives phi's
+sign, the next trial c + dc and the stop.  A trial outside the bracket, or
+after a step that failed to halve |phi|, becomes a bisection at the
+geometric midpoint.  A group also stops at phi = 0 or at a bracket of
+float width; phi's sign change on the analytic bracket is checked only
+where a group stops without an accepting step and away from phi = 0.
 
 Both paths solve all general-q groups of a vector in one lock-step batch;
 each group stops independently once its own test passes, so batched
@@ -150,26 +150,25 @@ def prox_inf(v: np.ndarray, lam: float) -> np.ndarray:
     return _inf_clip(v, np.array([v.size]), lam)
 
 
-def _h_roots(v, c, q, lo, hi, x0=None):
-    """Componentwise root of h(x) = x + c x^(q-1) - v inside (lo, hi).
+def _h_roots(v, c, q):
+    """Componentwise root of h(x) = x + c x^(q-1) - v inside (0, v).
 
-    h is strictly increasing with h(lo) < 0 < h(hi).  Newton steps start
-    from x0 (default: (v/c)^(1/(q-1)), where c x^(q-1) alone reaches v, an
-    upper bound on the root) and fall back to bisection whenever they
-    leave the live bracket, at the geometric midpoint when the bracket
-    spans more than three decades (a tiny coordinate's root can lie ~30
-    decades below it).  A coordinate stops once its residual is down to the
-    rounding error of evaluating h, or once its bracket is at relative
-    float resolution, and then stays put while the others finish.  Returns
-    the roots; lo/hi are not modified in place.
+    h is strictly increasing with h(0) < 0 < h(v).  Newton steps start
+    from (v/c)^(1/(q-1)), where c x^(q-1) alone reaches v, an upper bound
+    on the root, and fall back to bisection whenever they leave the live
+    bracket, at the geometric midpoint when the bracket spans more than
+    three decades (a tiny coordinate's root can lie ~30 decades below it).
+    A coordinate stops once its residual is down to the rounding error of
+    evaluating h, or once its bracket is at relative float resolution, and
+    then stays put while the others finish.
     """
-    lo = lo.copy()
-    hi = hi.copy()
+    lo = np.zeros_like(v)
+    hi = v.copy()
     qm1 = q - 1.0
     done = np.zeros(v.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         cq = c * qm1
-        x = np.clip(np.power(v / c, 1.0 / qm1) if x0 is None else x0, lo, hi)
+        x = np.minimum(np.power(v / c, 1.0 / qm1), v)
         for _ in range(_MAX_INNER):
             h = x + c * np.power(x, qm1) - v
             neg = h < 0.0
@@ -273,9 +272,9 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
     like ``v``, estimates the minimizer's magnitudes.  Each group starts
     joint Newton from it, or from the roots x0 at c_f = lam psi(v eps) with
     c0 = lam psi(x0) (module docstring); the groups joint Newton does not
-    accept take ``_bracketed``.  Returns the positive minimizers,
-    concatenated the same way, the number of sweeps (``_h_roots`` calls)
-    and the number of joint Newton steps.
+    accept take ``_bracketed`` from the same c0.  Returns the positive
+    minimizers, concatenated the same way, the number of sweeps
+    (``_h_roots`` calls) and the number of joint Newton steps.
     """
     starts = _starts(sizes)
     eps = (gn - lam) / gn
@@ -305,83 +304,70 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
         if fresh.any():
             sel = np.repeat(fresh, sizes)
             c_f = np.clip(lam * _psi(v * eps_c, starts, sizes, q), c_lo, c_hi)
-            x[sel] = _h_roots(v[sel], np.repeat(c_f, sizes)[sel], q, np.zeros(sel.sum()), v[sel])
+            x[sel] = _h_roots(v[sel], np.repeat(c_f, sizes)[sel], q)
             c0 = np.clip(lam * _psi(x, starts, sizes, q), c_lo, c_hi)
     x, done, steps = _joint_newton(v, sizes, lam, q, x, c0, c_lo, c_hi)
     sweeps = int(fresh.any())
     if not done.all():
         sel = np.repeat(~done, sizes)
-        x[sel], cold_sweeps = _bracketed(v[sel], sizes[~done], lam, q, c_lo[~done], c_hi[~done])
+        x[sel], cold_sweeps = _bracketed(v[sel], sizes[~done], lam, q, c0[~done],
+                                         c_lo[~done], c_hi[~done])
         sweeps += cold_sweeps
     return x, sweeps, steps
 
 
-def _bracketed(v, sizes, lam, q, c_lo, c_hi):
-    """The cold outer zero find on phi from the analytic bracket
-    [c_lo, c_hi], every group at once.  Each trial c gets its roots from
+def _bracketed(v, sizes, lam, q, c_try, c_lo, c_hi):
+    """The outer zero find on phi, every group at once, from the first
+    trial ``c_try`` (the c joint Newton started from) and the analytic
+    bracket [c_lo, c_hi].  Each trial c gets its roots fresh from
     ``_h_roots``, and ``_joint_step`` at those roots gives phi's sign, the
-    Newton step on c and the stop test.  Returns the roots and the number
-    of sweeps (``_h_roots`` calls) taken."""
+    Newton step on c and the stop test.  Where a group stops without an
+    accepting step and away from phi = 0 (at a bracket of float width, or
+    out of trials), two more sweeps check phi's sign change on the
+    analytic bracket, and a lost one raises BracketError.  Returns the
+    roots and the number of sweeps taken."""
     starts = _starts(sizes)
+    ends = c_lo, c_hi
     guard = 1e-9 * np.maximum(1.0, c_hi)
-    # the roots at the bracket ends seed the inner bracket cache: x_hi holds
-    # the roots at c_lo and x_lo the roots at c_hi, which x(c) decreasing
-    # bounds by x_hi
-    x_hi = _h_roots(v, np.repeat(c_lo, sizes), q, np.zeros_like(v), v)
-    x_lo = _h_roots(v, np.repeat(c_hi, sizes), q, np.zeros_like(v), x_hi)
-    sweeps = 2
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        phi_lo = lam * _psi(x_hi, starts, sizes, q) - c_lo
-        phi_hi = lam * _psi(x_lo, starts, sizes, q) - c_hi
-
-    if np.any(phi_lo < -guard) or np.any(phi_hi > guard):
-        raise BracketError("phi lost its sign change on the initial bracket")
-
-    # endpoints that already are roots, and degenerate zero-width brackets
-    at_lo = phi_lo <= 0.0
-    at_hi = (phi_hi >= 0.0) & ~at_lo
-    frozen = at_lo | at_hi | ((c_hi - c_lo) <= _width_floor(c_hi))
-    c = np.where(at_hi, c_hi, c_lo)
-    x_cur = np.where(np.repeat(at_hi, sizes), x_lo, x_hi)
-
-    # the first trial is the secant through the endpoints, then Newton
-    # steps on c; a trial outside the live bracket, or one taken after a
-    # step that failed to halve |phi|, is replaced by the geometric
-    # midpoint, which also halves brackets that span many decades quickly
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_try = c_lo + phi_lo * ((c_hi - c_lo) / (phi_lo - phi_hi))
+    frozen = settled = np.zeros(sizes.size, dtype=bool)
+    x = v
     abs_phi_prev = np.full(sizes.size, np.inf)
-    for _ in range(_MAX_OUTER):
-        if frozen.all():
-            break
-        ok = (c_try > c_lo) & (c_try < c_hi)
-        c_try = np.where(frozen, c, np.where(ok, c_try, np.sqrt(c_lo) * np.sqrt(c_hi)))
-        x_try = _h_roots(v, np.repeat(c_try, sizes), q, x_lo, x_hi, x0=x_cur)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    sweeps = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_OUTER):
+            # a trial outside the live bracket, or one taken after a step
+            # that failed to halve |phi|, is replaced by the geometric
+            # midpoint, which also halves brackets that span many decades
+            ok = (c_try > c_lo) & (c_try < c_hi)
+            c_try = np.where(ok, c_try, np.sqrt(c_lo) * np.sqrt(c_hi))
+            x_try = _h_roots(v, np.repeat(c_try, sizes), q)
             dx, dc, phi, accept = _joint_step(v, x_try, c_try, starts, sizes, lam, q)
-        sweeps += 1
+            sweeps += 1
 
-        live = ~frozen
-        up = live & (phi > 0.0)
-        dn = live & (phi < 0.0)
-        c_lo = np.where(up, c_try, c_lo)
-        c_hi = np.where(dn, c_try, c_hi)
-        x_hi = np.where(np.repeat(up, sizes), x_try, x_hi)
-        x_lo = np.where(np.repeat(dn, sizes), x_try, x_lo)
-        # a group is done where joint Newton would accept it, and then
-        # returns its roots moved by that step's dx; or once the bracket
-        # pins c to float resolution
-        accept &= live
-        x_cur = np.where(np.repeat(live, sizes), x_try, x_cur)
-        acc = np.repeat(accept, sizes)
-        x_cur[acc] += dx[acc]
-        c = np.where(live, c_try, c)
-        frozen |= accept | (live & ((phi == 0.0) | ((c_hi - c_lo) <= _width_floor(c_hi))))
-        slow = np.abs(phi) > 0.5 * abs_phi_prev
-        c_try = np.where(slow, np.nan, c_try + dc)
-        abs_phi_prev = np.abs(phi)
+            live = ~frozen
+            c_lo = np.where(live & (phi > 0.0), c_try, c_lo)
+            c_hi = np.where(live & (phi < 0.0), c_try, c_hi)
+            # a group is done where joint Newton would accept it, and then
+            # returns its roots moved by that step's dx; or at phi = 0; or
+            # once the bracket pins c to float resolution
+            accept &= live
+            x = np.where(np.repeat(live, sizes), x_try, x)
+            acc = np.repeat(accept, sizes)
+            x[acc] += dx[acc]
+            settled = settled | accept | (live & (phi == 0.0))
+            frozen = settled | (c_hi - c_lo <= _width_floor(c_hi))
+            if frozen.all():
+                break
+            c_try = np.where(np.abs(phi) > 0.5 * abs_phi_prev, np.nan, c_try + dc)
+            abs_phi_prev = np.abs(phi)
 
-    return x_cur, sweeps
+        if not settled.all():
+            for end, sign in zip(ends, (1.0, -1.0)):
+                phi = lam * _psi(_h_roots(v, np.repeat(end, sizes), q), starts, sizes, q) - end
+                sweeps += 1
+                if np.any(~settled & (sign * phi < -guard)):
+                    raise BracketError("phi lost its sign change on the initial bracket")
+    return x, sweeps
 
 
 def _width_floor(c_hi):

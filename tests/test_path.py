@@ -101,7 +101,7 @@ def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
 def test_general_q_path_sweep_budget(monkeypatch):
     # every group starts joint Newton on (x, c), from the solver's iterate
     # or from one sweep at the shrink start, and only the groups those
-    # steps do not certify take the bracketed zero find: 0.43 sweeps a call
+    # steps do not certify take the bracketed zero find: 0.40 sweeps a call
     # on these paths, against 1.5 when only the iterate gave a start
     base = gen_screening_instance(SynthSpec(m=50, d=100, num_groups=10, seed=1), q=1.5)
     sweeps, steps, calls = [], [], []
@@ -128,7 +128,7 @@ def test_general_q_path_sweep_budget(monkeypatch):
         reported_steps += int(out.prox_joint_steps.sum())
     assert reported == len(sweeps)
     assert reported_steps == sum(steps) > 0
-    assert len(sweeps) <= 0.75 * len(calls)
+    assert len(sweeps) <= 0.45 * len(calls)
 
 
 def test_path_steps_report_convergence(rng):
