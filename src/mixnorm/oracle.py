@@ -7,9 +7,11 @@ production prox module:
   enumeration with local refinement (n <= 4).
 * :func:`reference_solve` is a plain, non-accelerated proximal-gradient
   loop with a fixed step.  Its per-group prox goes through this module's
-  own closed forms and, for general q, a different scalarization than the
-  production code: the outer unknown is t = ||x||_q, found by
-  scipy.optimize.brentq, with coordinate solves by local Newton iteration.
+  own closed forms and, for general q, its own zero finds.  Like the
+  production code it finds the outer unknown t = ||x||_q, but by
+  scipy.optimize.brentq on ||x(t)||_q - t, and its inner unknown is x
+  itself, solving x + k x^(q-1) = |v| with k = lam t^(1-q) by local
+  Newton iteration, where the production code solves for y = x / t.
 """
 
 from __future__ import annotations

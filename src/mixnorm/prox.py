@@ -15,37 +15,42 @@ vector at once; ``prox_group`` is its one-group case.  q = 1 (soft
 threshold), q = 2 (norm shrinkage) and q = inf (clip at the l1-ball
 projection threshold, one segmented sort over all groups) have closed forms,
 as has a group with one nonzero entry at every q: the soft threshold.
-For general finite q the optimality system is solved through the scalar
-substitution c = lam * ||x||_q^(1-q):
+For general finite q the optimality system is solved for t = ||x||_q and
+y = x / t, in which it reads
 
-  * for fixed c, each coordinate solves  h(x) = x + c x^(q-1) - v_i = 0,
-    which has a unique root in (0, v_i);
-  * c* is the unique zero of  phi(c) = lam * psi(c) - c  on [c_lo, c_hi],
-    where psi(c) = (sum_i x_i(c)^q)^((1-q)/q), phi(c_lo) >= 0 >= phi(c_hi).
+  * k_i = t y_i + lam y_i^(q-1) - v_i = 0: for fixed t, each coordinate
+    has a unique root y_i(t) in (0, v_i / t);
+  * G = log ||y||_q = 0: t* is the unique zero of F(t) = log ||y(t)||_q,
+    which falls as t grows, on [t_lo, t_hi] = [eps gn n^-max(0, 1-2/q),
+    ||v||_q] (eps gn = ||v||_qbar - lam, n the group size).
 
-One Newton step on (x, c), ``_joint_step``, drives both solves below.  The
+Every term of k is at most v_i and y <= 1 at the answer, so nothing leaves
+float range at any q, where the paper's c = lam t^(1-q) does at large q.
+G is the log of the norm, not sum(y^q) - 1: the norm is homogeneous in y,
+so an iterate with ||y||_q = 1.1 reads G = 0.095, not 1.1^q - 1.
+
+One Newton step on (y, t), ``_joint_step``, drives both solves below.  The
 Jacobian of the two equations is an arrowhead, so a step costs a sum per
-group.  It accepts a group once every |h_i| is at its rounding floor and
-the step in c is below 256 ulps of c, or below what those h_i can make of
-it, which is more where phi is flat; an accepted group returns its x moved
-by that step's dx, one final Newton correction.
+group.  It accepts a group once every |k_i| is at its rounding floor and
+the step in t is below 256 ulps of t, or below what those k_i and G's floor
+can make of it, which is more where F is flat; an accepted group returns
+x = (t + dt)(y + dy), one final Newton correction.
 
-Every group takes up to 8 of these steps, in log x and log c, so the
-iterate stays positive and inside the analytic bracket.  A group starts
-from a guess at the answer (the solver passes its current iterate) when
-the guess is nonzero on all of it with lam psi(guess) inside the bracket;
-else from the roots at the c of the q = 2 shrink v (1 - lam / ||v||_qbar),
-with c moved to lam psi of those roots, one sweep for all such groups.
+Every group takes up to 8 of these steps, in log y and log t, so the
+iterate stays positive, with y <= 1 and t inside its bracket.  A group
+starts from a guess at the answer (the solver passes its current iterate),
+at t0 = ||guess||_q and y0 = guess / t0, when the guess is nonzero on all
+of it with t0 inside the bracket; else from t0 = eps ||v||_q, the norm of
+the q = 2 shrink v eps, and its roots y(t0), one sweep for all such groups.
 
 The groups that joint Newton does not accept take the bracketed zero find
-on phi from the same start c and the analytic ends.  At each trial c it
-solves the coordinate equations afresh inside (0, v_i), from the upper
-bound (v_i / c)^(1/(q-1)), and the Newton step at those roots gives phi's
-sign, the next trial c + dc and the stop.  A trial outside the bracket, or
-after a step that failed to halve |phi|, becomes a bisection at the
-geometric midpoint.  A group also stops at phi = 0 or at a bracket of
-float width; phi's sign change on the analytic bracket is checked only
-where a group stops without an accepting step and away from phi = 0.
+on F from the same t0 and the bracket ends.  At each trial t it solves the
+coordinate equations afresh, as ``_h_roots`` on k / t, and the Newton step
+at those roots gives F's sign, the next trial t + dt and the stop.  A trial
+outside the bracket, or after a step that failed to halve |F|, becomes a
+bisection at the geometric midpoint.  A group also stops at F = 0 or at a
+bracket of float width; F's sign change on [t_lo, t_hi] is checked only
+where a group stops without an accepting step and away from F = 0.
 
 Both paths solve all general-q groups of a vector in one lock-step batch;
 each group stops independently once its own test passes, so batched
@@ -74,10 +79,10 @@ _MAX_OUTER = 400
 _MAX_INNER = 80
 # Four ulps of 1.0: the rounding floor used by the stopping tests.
 _EPS4 = 4.0 * np.finfo(np.float64).eps
-# a Newton step in c below this many ulps of c, with every inner residual
-# at its rounding floor, is at phi's rounding floor
+# a Newton step in t below this many ulps of t, with every coordinate
+# residual at its rounding floor, is at F's rounding floor
 _FLOOR_ULPS = 256.0 * np.finfo(np.float64).eps
-# joint Newton steps on (x, c) before a group falls back to the bracket
+# joint Newton steps on (y, t) before a group falls back to the bracket
 _MAX_JOINT = 8
 
 
@@ -190,74 +195,78 @@ def _h_roots(v, c, q):
     return np.clip(x, lo, hi)
 
 
-def _psi(x, starts, rep_sizes, q):
-    """Per-group ||x||_q^(1-q) for strictly positive x, max-rescaled."""
+def _qnorm(x, starts, sizes, q):
+    """Per-group ||x||_q, max-rescaled so that no power leaves float range."""
     gmax = np.maximum.reduceat(x, starts)
-    scaled = x / np.repeat(gmax, rep_sizes)
-    sums = np.add.reduceat(np.power(scaled, q), starts)
-    return np.power(gmax, 1.0 - q) * np.power(sums, (1.0 - q) / q)
+    sums = np.add.reduceat(np.power(x / np.repeat(gmax, sizes), q), starts)
+    return gmax * np.power(sums, 1.0 / q)
 
 
-def _joint_step(v, x, c, starts, sizes, lam, q):
+def _joint_step(v, y, t, starts, sizes, lam, q):
     """One Newton step on the coupled system, on every group at once.
 
-    The unknowns are the roots x and c; the equations are
-    h_i = x_i + c x_i^(q-1) - v_i = 0 and g = lam psi(x) - c = 0.  The
-    Jacobian is an arrowhead: diagonal h'_i in x, column x_i^(q-1) in c,
-    row a_i = (1-q) lam psi x_i^(q-1) / sum(x^q) from g, and -1.  So the
-    step is one sum per group:
+    The unknowns are y = x / t and t = ||x||_q; the equations are
+    k_i = t y_i + lam y_i^(q-1) - v_i = 0 and G = log(sum(y^q)) / q = 0.
+    The Jacobian is an arrowhead: diagonal k'_i = t + lam (q-1) y_i^(q-2)
+    in y, column y_i in t, row y_i^(q-1) / sum(y^q) from G, and a zero
+    corner.  So the step is one sum per group, with
+    w_i = y_i^(q-1) / (sum(y^q) k'_i):
 
-        dc  = (g - sum a_i h_i / h'_i) / (1 + sum a_i x_i^(q-1) / h'_i)
-        dx_i = -(h_i + x_i^(q-1) dc) / h'_i
+        dt  = (G - sum w_i k_i) / sum w_i y_i
+        dy_i = -(k_i + y_i dt) / k'_i
 
-    At h = 0 the denominator is 1 - lam psi d(log psi)/dc, and dc is the
-    Newton step on phi(c) = lam psi(x(c)) - c.  The sums are taken
-    max-rescaled, like ``_psi``.  Returns dx, dc, g and, per group, whether
-    the step accepts the group: every h_i at its rounding floor (the one
-    ``_h_roots`` stops at), and |dc| below 256 ulps of c or below what
-    those h_i can make of dc, which exceeds 256 ulps where phi is flat.
+    At k = 0, dt is the Newton step on F(t) = log ||y(t)||_q.  Returns
+    dy, dt, G and, per group, whether the step accepts the group: every
+    k_i at its rounding floor (the one ``_h_roots`` stops at), and |dt|
+    below 256 ulps of t or below what those k_i and G at its own floor
+    can make of dt, which exceeds 256 ulps where F is flat.
     """
     qm1 = q - 1.0
-    c_rep = np.repeat(c, sizes)
-    x_qm1 = np.power(x, qm1)
-    h = x + c_rep * x_qm1 - v
-    dh = 1.0 + c_rep * qm1 * np.power(x, q - 2.0)
-    gmax = np.maximum.reduceat(x, starts)
-    y = x / np.repeat(gmax, sizes)
+    t_rep = np.repeat(t, sizes)
     y_qm1 = np.power(y, qm1)
+    k = t_rep * y + lam * y_qm1 - v
+    dk = t_rep + lam * qm1 * np.power(y, q - 2.0)
     sum_yq = np.add.reduceat(y_qm1 * y, starts)
-    lam_psi = lam * np.power(gmax, -qm1) * np.power(sum_yq, -qm1 / q)
-    # a_i, with x^(q-1) / sum(x^q) = y^(q-1) / (gmax sum(y^q))
-    a = np.repeat(-qm1 * lam_psi / (gmax * sum_yq), sizes) * y_qm1
-    g = lam_psi - c
-    denom = 1.0 + np.add.reduceat(a * x_qm1 / dh, starts)
-    dc = (g - np.add.reduceat(a * h / dh, starts)) / denom
-    dx = -(h + x_qm1 * np.repeat(dc, sizes)) / dh
-    h_floor = _EPS4 * (v + dh * x)
-    floor = np.logical_and.reduceat(np.abs(h) <= h_floor, starts)
-    # the most of dc that h_i at their floor can make (every a_i <= 0)
-    dc_floor = np.abs(np.add.reduceat(a * h_floor / dh, starts) / denom)
-    return dx, dc, g, floor & (np.abs(dc) < np.maximum(_FLOOR_ULPS * c, dc_floor))
+    G = np.log(sum_yq) / q
+    w = y_qm1 / (np.repeat(sum_yq, sizes) * dk)
+    denom = np.add.reduceat(w * y, starts)
+    dt = (G - np.add.reduceat(w * k, starts)) / denom
+    dy = -(k + y * np.repeat(dt, sizes)) / dk
+    k_floor = _EPS4 * (v + dk * y)
+    floor = np.logical_and.reduceat(np.abs(k) <= k_floor, starts)
+    # the most of dt that k_i and G at their floors can make (every w_i >= 0)
+    dt_floor = (np.add.reduceat(w * k_floor, starts) + _EPS4) / denom
+    return dy, dt, G, floor & (np.abs(dt) < np.maximum(_FLOOR_ULPS * t, dt_floor))
 
 
-def _joint_newton(v, sizes, lam, q, x, c, c_lo, c_hi):
-    """Newton's method on (x, c) together, from x in (0, v] and c in
-    [c_lo, c_hi].  Steps are taken in log x and log c, x <- min(x e^(dx/x), v)
-    and c <- clip(c e^(dc/c), c_lo, c_hi), so the iterate stays in the
-    analytic bracket.  A group is done once ``_joint_step`` accepts it; it
-    keeps its x moved by that step's dx, one final correction, and takes no
-    further step.  Returns the roots, which groups are done, and the number
-    of steps taken (at most ``_MAX_JOINT``).
+def _roots_at(v, sizes, lam, q, t):
+    """The coordinate roots y(t) of k_i = 0 at each group's t, from
+    ``_h_roots`` on k_i / t, whose terms are v / t and lam / t."""
+    t_rep = np.repeat(t, sizes)
+    return _h_roots(v / t_rep, lam / t_rep, q)
+
+
+def _joint_newton(v, sizes, lam, q, y, t, t_lo, t_hi):
+    """Newton's method on (y, t) together, from y in (0, 1] and t in
+    [t_lo, t_hi].  Steps are taken in log y and log t, y <- min(y e^(dy/y), 1)
+    and t <- clip(t e^(dt/t), t_lo, t_hi), so the iterate stays in the
+    bracket.  A group is done once ``_joint_step`` accepts it; it returns
+    x = (t + dt)(y + dy) from that step, one final correction.
+    Returns x, which groups are done, and the number of steps taken (at
+    most ``_MAX_JOINT``).
     """
     starts = _starts(sizes)
+    x = np.zeros_like(v)
     done = np.zeros(sizes.size, dtype=bool)
     steps = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while steps < _MAX_JOINT and not done.all():
-            dx, dc, _, accept = _joint_step(v, x, c, starts, sizes, lam, q)
+            dy, dt, _, accept = _joint_step(v, y, t, starts, sizes, lam, q)
             steps += 1
-            x = np.where(np.repeat(done, sizes), x, np.minimum(x * np.exp(dx / x), v))
-            c = np.where(done, c, np.clip(c * np.exp(dc / c), c_lo, c_hi))
+            acc = np.repeat(accept & ~done, sizes)
+            x[acc] = (np.repeat(t + dt, sizes) * (y + dy))[acc]
+            y = np.minimum(y * np.exp(dy / y), 1.0)
+            t = np.clip(t * np.exp(dt / t), t_lo, t_hi)
             done |= accept
     return x, done, steps
 
@@ -270,109 +279,95 @@ def _general_q_batch(v, sizes, lam, q, gn, guess=None):
     Preconditions (caller-enforced): all entries strictly positive and
     finite, and lam < ||v_g||_qbar for every group g.  ``guess``, laid out
     like ``v``, estimates the minimizer's magnitudes.  Each group starts
-    joint Newton from it, or from the roots x0 at c_f = lam psi(v eps) with
-    c0 = lam psi(x0) (module docstring); the groups joint Newton does not
-    accept take ``_bracketed`` from the same c0.  Returns the positive
-    minimizers, concatenated the same way, the number of sweeps
-    (``_h_roots`` calls) and the number of joint Newton steps.
+    joint Newton from it, or from the roots at t_f = eps ||v||_q (module
+    docstring); the groups joint Newton does not accept take
+    ``_bracketed`` from the same t0.  Returns the positive minimizers,
+    concatenated the same way, the number of sweeps (``_h_roots`` calls)
+    and the number of joint Newton steps.
     """
     starts = _starts(sizes)
     eps = (gn - lam) / gn
     if np.any(eps <= 0.0):
         raise InvalidParameterError("general-q solve requires lam < ||v||_qbar for every group")
 
-    eps_c = np.repeat(eps, sizes)
-    with np.errstate(over="ignore", divide="ignore"):
-        # candidate c at each coordinate: omega_i evaluated at eps * v_i;
-        # 1 - eps is taken as lam / ||v||_qbar, which does not cancel
-        ci = np.repeat(lam / gn, sizes) / (np.power(eps_c, q - 1.0) * np.power(v, q - 2.0))
-        # at large q a tiny coordinate's candidate overflows.  Then cap c_hi
-        # by c* = lam ||x*||_q^(1-q), since ||x*||_q >= n^-max(0, 1-2/q)
-        # ||x*||_qbar and ||x*||_qbar >= ||v||_qbar - ||v - x*||_qbar = eps gn
-        c_cap = lam * np.power(eps * gn * np.power(sizes, -max(0.0, 1.0 - 2.0 / q)), 1.0 - q)
-    c_lo = np.minimum.reduceat(ci, starts)
-    c_hi = np.maximum.reduceat(ci, starts)
-    c_hi = np.where(np.isfinite(c_hi), c_hi, c_cap)
-    if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
-        raise BracketError("outer bracket overflowed; inputs out of numerical range")
-
+    # x* < v, so t* < ||v||_q; and ||x*||_q >= n^-max(0, 1-2/q) ||x*||_qbar,
+    # with ||x*||_qbar >= ||v||_qbar - ||v - x*||_qbar = eps gn
+    t_lo = eps * gn * np.power(sizes, -max(0.0, 1.0 - 2.0 / q))
+    t_hi = _qnorm(v, starts, sizes, q)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # no guess is a zero guess, which starts every group fresh
-        x = np.zeros_like(v) if guess is None else guess.copy()
-        c0 = lam * _psi(x, starts, sizes, q)
-        fresh = ~((np.minimum.reduceat(x, starts) > 0.0) & (c0 > c_lo) & (c0 < c_hi))
-        if fresh.any():
-            sel = np.repeat(fresh, sizes)
-            c_f = np.clip(lam * _psi(v * eps_c, starts, sizes, q), c_lo, c_hi)
-            x[sel] = _h_roots(v[sel], np.repeat(c_f, sizes)[sel], q)
-            c0 = np.clip(lam * _psi(x, starts, sizes, q), c_lo, c_hi)
-    x, done, steps = _joint_newton(v, sizes, lam, q, x, c0, c_lo, c_hi)
+        x = np.zeros_like(v) if guess is None else guess
+        t0 = _qnorm(x, starts, sizes, q)
+        fresh = ~((np.minimum.reduceat(x, starts) > 0.0) & (t0 > t_lo) & (t0 < t_hi))
+        y0 = x / np.repeat(t0, sizes)
+    if fresh.any():
+        # the q = 2 shrink v eps has norm eps ||v||_q: start at its roots
+        t0 = np.where(fresh, np.clip(eps * t_hi, t_lo, t_hi), t0)
+        sel = np.repeat(fresh, sizes)
+        y0[sel] = _roots_at(v[sel], sizes[fresh], lam, q, t0[fresh])
+    x, done, steps = _joint_newton(v, sizes, lam, q, y0, t0, t_lo, t_hi)
     sweeps = int(fresh.any())
     if not done.all():
         sel = np.repeat(~done, sizes)
-        x[sel], cold_sweeps = _bracketed(v[sel], sizes[~done], lam, q, c0[~done],
-                                         c_lo[~done], c_hi[~done])
+        x[sel], cold_sweeps = _bracketed(v[sel], sizes[~done], lam, q, t0[~done],
+                                         t_lo[~done], t_hi[~done])
         sweeps += cold_sweeps
     return x, sweeps, steps
 
 
-def _bracketed(v, sizes, lam, q, c_try, c_lo, c_hi):
-    """The outer zero find on phi, every group at once, from the first
-    trial ``c_try`` (the c joint Newton started from) and the analytic
-    bracket [c_lo, c_hi].  Each trial c gets its roots fresh from
-    ``_h_roots``, and ``_joint_step`` at those roots gives phi's sign, the
-    Newton step on c and the stop test.  Where a group stops without an
-    accepting step and away from phi = 0 (at a bracket of float width, or
-    out of trials), two more sweeps check phi's sign change on the
-    analytic bracket, and a lost one raises BracketError.  Returns the
-    roots and the number of sweeps taken."""
+def _bracketed(v, sizes, lam, q, t_try, t_lo, t_hi):
+    """The outer zero find on F(t) = log ||y(t)||_q, every group at once,
+    from the first trial ``t_try`` (the t joint Newton started from) and
+    the bracket [t_lo, t_hi].  Each trial t gets its roots fresh from
+    ``_h_roots``, and ``_joint_step`` at those roots gives F's sign, the
+    Newton step on t and the stop test.  Where a group stops without an
+    accepting step and away from F = 0 (at a bracket of float width, or
+    out of trials), two more sweeps check F's sign change on the bracket,
+    and a lost one raises BracketError.  Returns the roots and the number
+    of sweeps taken."""
     starts = _starts(sizes)
-    ends = c_lo, c_hi
-    guard = 1e-9 * np.maximum(1.0, c_hi)
+    ends = t_lo, t_hi
     frozen = settled = np.zeros(sizes.size, dtype=bool)
     x = v
-    abs_phi_prev = np.full(sizes.size, np.inf)
+    abs_F_prev = np.full(sizes.size, np.inf)
     sweeps = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_MAX_OUTER):
             # a trial outside the live bracket, or one taken after a step
-            # that failed to halve |phi|, is replaced by the geometric
+            # that failed to halve |F|, is replaced by the geometric
             # midpoint, which also halves brackets that span many decades
-            ok = (c_try > c_lo) & (c_try < c_hi)
-            c_try = np.where(ok, c_try, np.sqrt(c_lo) * np.sqrt(c_hi))
-            x_try = _h_roots(v, np.repeat(c_try, sizes), q)
-            dx, dc, phi, accept = _joint_step(v, x_try, c_try, starts, sizes, lam, q)
+            ok = (t_try > t_lo) & (t_try < t_hi)
+            t_try = np.where(ok, t_try, np.sqrt(t_lo) * np.sqrt(t_hi))
+            y = _roots_at(v, sizes, lam, q, t_try)
+            dy, dt, F, accept = _joint_step(v, y, t_try, starts, sizes, lam, q)
             sweeps += 1
 
+            # F falls as t grows: F > 0 puts t* above the trial
             live = ~frozen
-            c_lo = np.where(live & (phi > 0.0), c_try, c_lo)
-            c_hi = np.where(live & (phi < 0.0), c_try, c_hi)
+            t_lo = np.where(live & (F > 0.0), t_try, t_lo)
+            t_hi = np.where(live & (F < 0.0), t_try, t_hi)
             # a group is done where joint Newton would accept it, and then
-            # returns its roots moved by that step's dx; or at phi = 0; or
-            # once the bracket pins c to float resolution
+            # returns its roots moved by that step; or at F = 0; or once
+            # the bracket pins t to float resolution
             accept &= live
-            x = np.where(np.repeat(live, sizes), x_try, x)
+            x = np.where(np.repeat(live, sizes), np.repeat(t_try, sizes) * y, x)
             acc = np.repeat(accept, sizes)
-            x[acc] += dx[acc]
-            settled = settled | accept | (live & (phi == 0.0))
-            frozen = settled | (c_hi - c_lo <= _width_floor(c_hi))
+            x[acc] = (np.repeat(t_try + dt, sizes) * (y + dy))[acc]
+            settled = settled | accept | (live & (F == 0.0))
+            frozen = settled | (t_hi - t_lo <= _EPS4 * t_hi)
             if frozen.all():
                 break
-            c_try = np.where(np.abs(phi) > 0.5 * abs_phi_prev, np.nan, c_try + dc)
-            abs_phi_prev = np.abs(phi)
+            t_try = np.where(np.abs(F) > 0.5 * abs_F_prev, np.nan, t_try + dt)
+            abs_F_prev = np.abs(F)
 
         if not settled.all():
             for end, sign in zip(ends, (1.0, -1.0)):
-                phi = lam * _psi(_h_roots(v, np.repeat(end, sizes), q), starts, sizes, q) - end
+                y = _roots_at(v, sizes, lam, q, end)
+                F = _joint_step(v, y, end, starts, sizes, lam, q)[2]
                 sweeps += 1
-                if np.any(~settled & (sign * phi < -guard)):
-                    raise BracketError("phi lost its sign change on the initial bracket")
+                if np.any(~settled & (sign * F < -1e-9)):
+                    raise BracketError("F lost its sign change on the initial bracket")
     return x, sweeps
-
-
-def _width_floor(c_hi):
-    """Outer brackets this narrow are at float resolution."""
-    return np.maximum(_EPS4 * np.abs(c_hi), 5e-324)
 
 
 def prox_general_q(v_pos, lam: float, q: float):
@@ -446,7 +441,7 @@ def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
     if kind is QKind.INF:
         out[keep_c] = _inf_clip(kept, live_sizes, lam)
         return out, 0, 0
-    # one nonzero entry: no zero find, whose c can overflow where x cannot
+    # one nonzero entry: the soft threshold, no zero find
     x = np.abs(kept) - lam
     sweeps = steps = 0
     multi = live_sizes > 1

@@ -251,7 +251,7 @@ class PathResult:
     restarts = _per_step("restarts", "Momentum resets in the solve.")
     prox_sweeps = _per_step("prox_sweeps", "General-q prox inner root sweeps in the solve.")
     prox_joint_steps = _per_step("prox_joint_steps",
-                                 "General-q prox Newton steps on (x, c) in the solve.")
+                                 "General-q prox Newton steps on (y, t) in the solve.")
     converged = _per_step("converged", "Solver converged flag (True where no solve ran).")
     groups_kept = _per_step("groups_kept", "Groups left after screening.")
     rejection_ratios = _per_step("rejection_ratio", "Discarded over truly zero groups.")

@@ -70,7 +70,7 @@ class SolveResult:
     ``L_final`` is the last accepted L.  ``backtracks`` counts the doublings
     of L, so the prox ran iterations + backtracks times; ``restarts`` counts
     the momentum resets.  ``prox_sweeps`` and ``prox_joint_steps`` sum the
-    general-q prox's inner root sweeps and its Newton steps on (x, c), from
+    general-q prox's inner root sweeps and its Newton steps on (y, t), from
     either start, over those calls (0 for q in {1, 2, inf}).  ``gap`` is
     the relative duality gap (P - D) / P at the solution
     (``model.relative_gap``), None at lam = 0.

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixnorm.errors import (BracketError, InputError, InvalidExponentError, InvalidParameterError,
-                            MixnormError)
+from mixnorm.errors import BracketError, InputError, InvalidExponentError, InvalidParameterError
 from mixnorm.model import GroupPartition, GroupedVector, dual_exponent, group_norms, lq_norm
 from mixnorm import prox as prox_module
 from mixnorm.prox import (ProxParams, _prox_concat, prox_all, prox_general_q,
@@ -95,8 +94,8 @@ def test_single_coordinate_any_q_is_soft_threshold():
         lam = 1e-8 * v
         x = prox_group(np.array([v]), ProxParams(lam=lam, q=q))
         assert x[0] == pytest.approx(v - lam, rel=1e-12)
-    # c* = lam |v|^(1-q) is above the float range at q = 20 and 50, where the
-    # general-q solve raised BracketError; one nonzero entry never reaches it
+    # lam is a relative 5e-7 below |v| = 1.6e-11; one nonzero entry never
+    # reaches the general-q solve
     v = np.array([0.0, -1.5582392425233504e-11, 0.0])
     lam = 1.5582392425233504e-11 * (1 - 5.24e-7)
     for q in (1.5, 20.0, 50.0):
@@ -176,13 +175,13 @@ def test_general_q_optimality_across_scales(q, rng, monkeypatch):
         lam = rng.uniform(0.05, 0.95) * lq_norm(v, dual_exponent(q))
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-13 * np.abs(v).max()
-    assert len(sweeps) <= {1.2: 33, 1.5: 33, 3.0: 33, 5.0: 33, 10.0: 42, 20.0: 135}[q]
+    assert len(sweeps) <= {1.2: 33, 1.5: 33, 3.0: 33, 5.0: 33, 10.0: 33, 20.0: 57}[q]
 
 
 @pytest.mark.parametrize("slack", [1e-6, 1e-9, 1e-11])
 def test_general_q_large_q_tiny_coordinate(slack):
-    # eps^(q-1) * v^(q-2) underflows at the tiny coordinate, so its bracket
-    # candidate for c is not a float
+    # the tiny coordinate's root is ~10^-12 of the large one's; at q = 20 its
+    # terms in the norm underflow
     v = np.array([0.18, 6.7e-12])
     q = 20.0
     lam = lq_norm(v, dual_exponent(q)) * (1 - slack)
@@ -191,25 +190,26 @@ def test_general_q_large_q_tiny_coordinate(slack):
 
 
 def test_general_q_prox_emits_no_numpy_warnings():
-    # overflow in c (q - 1) at large q and in psi at the bracket ends is
-    # part of the computation; it must not reach the caller as a warning
+    # overflow and underflow in the powers of a large q are part of the
+    # computation; they must not reach the caller as a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = np.array([0.4802581280570139, 1.2252818176322943e-07])
         lam, q = 0.4802572127259937, 50.0
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
-        # the bracket lost phi's sign change here; joint Newton from the
-        # fresh start certifies the answer without it
+        # joint Newton from the fresh start certifies the answer
         v = np.array([-2.745208185247936e-10, 3.868895335877817e-12])
         lam, q = 2.774540658616903e-10, 20.0
         x = prox_group(v, ProxParams(lam=lam, q=q))
         assert optimality_residual(x, v, lam, q) <= 1e-14 * np.abs(v).max()
-        # the analytic bracket overflows here, a known BracketError
-        with pytest.raises(BracketError):
-            prox_group(np.array([0.00013110521396422447, -5.817048304025612e-07,
-                                 0.0716308123802742]),
-                       ProxParams(lam=0.07175311072263263, q=100.0))
+        # c = lam ||x||_q^(1-q) is ~10^1140 here, above the float range;
+        # t = ||x||_q and y = x / t are not.  tail: an 80-digit bisection
+        v = np.array([0.00013110521396422447, -5.817048304025612e-07, 0.0716308123802742])
+        lam, q = 0.07175311072263263, 100.0
+        x = prox_group(v, ProxParams(lam=lam, q=q))
+        assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+        assert np.allclose(np.abs(x), [2.7802845e-12, 2.6322212e-12, 2.9630607e-12], rtol=1e-5)
 
 
 def test_general_q_small_q_roots_decades_below_coordinates():
@@ -287,9 +287,10 @@ def test_fixed_point_iteration_can_fail_where_zero_finding_succeeds():
 
 
 def test_newton_at_phi_rounding_floor_stops_without_bisecting(monkeypatch):
-    # Newton closes in on c* from one side, so the far end of the bracket is
-    # still the analytic one; bisecting once |phi| stops halving at its
-    # rounding floor walked that end in over decades, for 33 sweeps
+    # Newton closes in on the outer zero from one side, so the far end of the
+    # bracket is still the analytic one; bisecting once the outer residual
+    # stops halving at its rounding floor walked that end in over decades,
+    # for 33 sweeps
     v = np.array([-0.08336233677328574, 0.03937214755246577, -0.07918721457279891,
                   0.004424148882862664, 0.15268608127580746, 0.012738178946544668,
                   -0.035158341327072885, -0.1324730754983202, 0.03904757837546792,
@@ -326,8 +327,8 @@ def random_multi_group_call(rng, q):
 @pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 8.0, 20.0])
 def test_warm_start_never_changes_the_answer(q, rng, monkeypatch):
     # a guess only moves where joint Newton starts; a group whose guess has a
-    # zero, or whose c0 = lam ||guess||_q^(1-q) is outside the analytic
-    # bracket, starts fresh, exactly as with no guess at all
+    # zero, or whose t0 = ||guess||_q is outside the bracket [t_lo, t_hi],
+    # starts fresh, exactly as with no guess at all
     for _ in range(25):
         v, part, lam = random_multi_group_call(rng, q)
         tol = 1e-14 * np.abs(v).max()
@@ -369,9 +370,9 @@ def test_fresh_start_matches_bracketed_zero_find(q, rng, monkeypatch):
 def test_warm_start_at_large_q_falls_back_when_newton_stalls(monkeypatch):
     # from this guess at q = 20, joint Newton does not certify an answer
     # within its step budget, so the bracketed zero find answers
-    v = np.array([0.1101401565827222, 0.07678912606297768])
-    guess = np.array([0.0009923441308011044, 0.0005874939676119461])
-    lam, q = 0.1789665303350068, 20.0
+    v = np.array([0.15093647999875287, 0.027384164961978673])
+    guess = np.array([0.006207193853458434, 0.039507583760977086])
+    lam, q = 0.11843967108320412, 20.0
     part = GroupPartition((2,))
     cold = _prox_concat(v, part, lam, q)[0]
     calls = []
@@ -381,7 +382,7 @@ def test_warm_start_at_large_q_falls_back_when_newton_stalls(monkeypatch):
     out, sweeps, steps = _prox_concat(v, part, lam, q, guess)
     assert optimality_residual(out, v, lam, q) <= 1e-14 * np.abs(v).max()
     assert np.abs(out - cold).max() <= 1e-14 * np.abs(v).max()
-    assert calls and steps == prox_module._MAX_JOINT and sweeps <= 6
+    assert calls and steps == prox_module._MAX_JOINT and sweeps <= 5
 
 
 @pytest.mark.filterwarnings("error")
@@ -396,8 +397,8 @@ def test_warm_start_at_large_q_falls_back_when_newton_stalls(monkeypatch):
 ])
 def test_large_q_bracketed_answer_is_stationary(v, lam, tail):
     # at q = 100 an inner root stopped short of its floor; kept as a bound on
-    # the roots of later trials, it pinned c away from c* and the bracketed
-    # zero find returned a wrong answer without an error
+    # the roots of later trials, it pinned the outer unknown away from its
+    # zero and the bracketed zero find returned a wrong answer without an error
     v = np.array(v)
     x = prox_group(v, ProxParams(lam=lam, q=100.0))
     assert optimality_residual(x, v, lam, 100.0) <= 1e-12 * np.abs(v).max()
@@ -406,38 +407,52 @@ def test_large_q_bracketed_answer_is_stationary(v, lam, tail):
 
 
 @pytest.mark.filterwarnings("error")
-def test_bracket_sign_check_only_where_the_zero_find_does_not_settle():
-    # phi's sign change on the analytic bracket is lost here, but the zero
-    # find accepts the group, so it is answered
+def test_bracket_sign_check_only_where_the_zero_find_does_not_settle(monkeypatch):
+    # the sign of F(t) = log ||y(t)||_q on the bracket [t_lo, t_hi] is
+    # checked only where the bracketed zero find stops unaccepted
+    q = 20.0
     v = np.array([3.8077668522321415e-06, -0.003333211755777225, -2.2560729629183456e-12,
                   2.2352559399663685e-08, -5.036207594245712e-07])
-    lam, q = 0.0033360308129788607, 20.0
+    lam = 0.0033360308129788607
     x = prox_group(v, ProxParams(lam=lam, q=q))
     assert optimality_residual(x, v, lam, q) <= 1e-14 * np.abs(v).max()
-    # here the bracket closes to float width without an accepting step
+    # this one raised BracketError while c was the outer unknown.  tail: an
+    # 80-digit bisection
+    v = np.array([5.991993318415473e-11, -3.632168195588501e-11])
+    lam = 9.311165316389133e-11
+    x = prox_group(v, ProxParams(lam=lam, q=q))
+    assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
+    assert np.allclose(np.abs(x), [4.6207527e-17, 4.5005991e-17], rtol=1e-5)
+    # roots at twice their value never meet their floor, so no step accepts
+    # the group, and F > 0 at t_hi fails the check
+    h_roots = prox_module._h_roots
+    monkeypatch.setattr(prox_module, "_h_roots", lambda *args: 2.0 * h_roots(*args))
+    monkeypatch.setattr(prox_module, "_joint_newton",
+                        lambda v, sizes, *args: (v, np.zeros(sizes.size, dtype=bool), 0))
     with pytest.raises(BracketError):
-        prox_group(np.array([5.991993318415473e-11, -3.632168195588501e-11]),
-                   ProxParams(lam=9.311165316389133e-11, q=q))
+        prox_group(np.array([0.3, 0.2, 0.1]), ProxParams(lam=0.1, q=3.0))
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("q", [50.0, 100.0])
-def test_large_q_near_threshold_raises_or_answers(q, monkeypatch):
+@pytest.mark.parametrize("q,seed,draws,sizes,log_eps", [
+    *(pytest.param(q, 99, 400, (2, 7), (-4, -0.3), id=f"seed99-q{q:g}")
+      for q in (20.0, 50.0, 100.0)),
+    # lam down to a relative 1e-11 below the threshold, where c overflowed
+    *(pytest.param(q, 2222, 100, (1, 7), (-11, -1), id=f"wide-q{q:g}")
+      for q in (1.2, 3.0, 8.0, 20.0, 50.0, 100.0)),
+])
+def test_near_threshold_answers(q, seed, draws, sizes, log_eps, monkeypatch):
     # entries across twelve decades and lam just below the zero threshold:
     # every call, through joint Newton or the bracketed zero find alone,
-    # either raises a typed error or returns a stationary point
-    rng = np.random.default_rng(99)
-    for _ in range(400):
-        n = int(rng.integers(2, 7))
+    # returns a stationary point
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        n = int(rng.integers(*sizes))
         v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 0, n)
-        lam = float(lq_norm(v, dual_exponent(q)) * (1 - 10.0 ** rng.uniform(-4, -0.3)))
+        lam = float(lq_norm(v, dual_exponent(q)) * (1 - 10.0 ** rng.uniform(*log_eps)))
         part = GroupPartition((n,))
-        for bracket_only in (False, True):
-            try:
-                x = (bracketed_reference(monkeypatch, v, part, lam, q) if bracket_only
-                     else _prox_concat(v, part, lam, q)[0])
-            except MixnormError:
-                continue
+        for x in (_prox_concat(v, part, lam, q)[0],
+                  bracketed_reference(monkeypatch, v, part, lam, q)):
             assert optimality_residual(x, v, lam, q) <= 1e-12 * np.abs(v).max()
 
 
