@@ -2,14 +2,16 @@
 
 A path solves the same instance at a decreasing sequence of penalties
 lam = r * lam_max through the one driver, ``screening.screen_sequential``:
-each solve is warm-started from the previous solution, and the safe
-screening test runs before it unless screening is off.  The recovery
-experiment builds a multi-response problem (one group per predictor row),
-poses it as a single-response instance with ``stacked_instance`` and
-traces the estimation error along a geometric path.  That instance keeps
-the m x d design A and never forms the (m*k) x (d*k) stacked matrix: its
-``B`` is a ``model.StackedDesign`` that multiplies through A on the d x k
-coefficient matrix, and path solutions are in its layout, W.ravel().
+each solve starts at the secant through the last two solutions (at the
+previous solution for the first two solves, at a repeated lam and after an
+unconverged solve), and the safe screening test runs before it unless
+screening is off.  The recovery experiment builds a multi-response problem
+(one group per predictor row), poses it as a single-response instance with
+``stacked_instance`` and traces the estimation error along a geometric
+path.  That instance keeps the m x d design A and never forms the
+(m*k) x (d*k) stacked matrix: its ``B`` is a ``model.StackedDesign`` that
+multiplies through A on the d x k coefficient matrix, and path solutions
+are in its layout, W.ravel().
 """
 
 from __future__ import annotations

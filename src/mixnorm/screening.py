@@ -298,13 +298,18 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
     The ratios must be finite, positive and nonincreasing; a ratio above 1 is a
     step above lambda_max.  Each step screens through ``screen_groups``
     against the previous step's dual estimate (the very first against
-    Y/lam_max), solves the reduced problem warm-started from the previous
-    solution, and re-embeds zeros for the discarded groups.
+    Y/lam_max), solves the reduced problem and re-embeds zeros for the
+    discarded groups.  The solve starts at the secant predictor through the
+    last two steps (lam1, x1) and (lam2, x2),
+    x1 + (lam - lam1) / (lam1 - lam2) * (x1 - x2), on the kept columns;
+    a step at or above lambda_max counts as the exact point (lam_max, 0).
+    It starts at x1 instead for the first two steps, when lam1 == lam2, or
+    when either of those two solves did not converge.
     A step at or above lambda_max discards every group, and a repeated
     lambda reuses the previous mask as is.  The ball assumes the previous
     solve reached its optimum, so a step after an unconverged solve
     discards nothing.  With ``screening`` off every step keeps every group,
-    so each one is a warm-started full solve.
+    so each one is a full solve from that start.
     """
     ratios = np.asarray(ratios, dtype=np.float64).ravel()
     if ratios.size == 0 or not np.all(np.isfinite(ratios) & (ratios > 0)):
@@ -326,7 +331,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
     prev_mask = np.ones(s, dtype=bool)
     prev_converged = True
 
-    for lam in lambdas:
+    for i, lam in enumerate(lambdas):
         t0 = time.perf_counter()
         if not screening or not prev_converged:
             mask = np.zeros(s, dtype=bool)
@@ -345,7 +350,10 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
             converged = True
         else:
             sub, col_keep = reduced_instance(inst, ~mask, lam)
-            res = solve(sub, solver_config, x0=GroupedVector(prev_x[col_keep], sub.partition))
+            x0 = prev_x  # the secant needs two trusted points at distinct lambdas
+            if i >= 2 and prev_converged and older_converged and prev_lam != older_lam:
+                x0 = prev_x + (lam - prev_lam) / (prev_lam - older_lam) * (prev_x - older_x)
+            res = solve(sub, solver_config, x0=GroupedVector(x0[col_keep], sub.partition))
             x_full[col_keep] = res.solution.values
             obj = float(res.f_history[-1])
             iters, backtracks, restarts = res.iterations, res.backtracks, res.restarts
@@ -371,6 +379,7 @@ def screen_sequential(inst: ProblemInstance, ratios, solver_config: SolverConfig
             screen_time=t_screen,
             solve_time=t_solve,
         ))
+        older_lam, older_x, older_converged = prev_lam, prev_x, prev_converged
         # a step at or above lambda_max has theta* = Y/lam_max; store that pair
         prev_lam = min(float(lam), lmax.value)
         prev_x, prev_r, prev_mask, prev_converged = x_full, r_full, mask, converged

@@ -191,7 +191,9 @@ def test_criterion_04_solver_objective_and_kkt():
 
 def test_criterion_05_convergence_behavior():
     """Running minimum never increases; the suboptimality gap halves from
-    iteration 100 to 200 on well-conditioned instances."""
+    iteration 25 to 50 on well-conditioned instances.  With restart the
+    running minimum reaches f* by about iteration 100, so the gaps are taken
+    where they are still positive, and a zero gap fails the test."""
     rng = np.random.default_rng(505)
     halving_ok = True
     monotone_ok = True
@@ -209,16 +211,16 @@ def test_criterion_05_convergence_behavior():
 
         tight = solve(inst, SolverConfig(tol=1e-14, max_iters=100000))
         f_star = min(tight.f_history[-1], running[-1])
-        k100 = min(100, running.size - 1)
-        k200 = min(200, running.size - 1)
-        gap100 = running[k100] - f_star
-        gap200 = running[k200] - f_star
-        gaps.append((gap100, gap200))
-        halving_ok &= gap200 <= 0.5 * gap100
+        k25 = min(25, running.size - 1)
+        k50 = min(50, running.size - 1)
+        gap25 = running[k25] - f_star
+        gap50 = running[k50] - f_star
+        gaps.append((gap25, gap50))
+        halving_ok &= 0.0 < gap50 <= 0.5 * gap25
     ok = monotone_ok and halving_ok
     pairs = ", ".join(f"{a:.2e}->{b:.2e}" for a, b in gaps)
     report(5, ok, f"running minimum monotone: {monotone_ok}; "
-                  f"gap(100)->gap(200): {pairs} (need halving)")
+                  f"gap(25)->gap(50): {pairs} (need positive and halving)")
     assert monotone_ok
     assert halving_ok
 

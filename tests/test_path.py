@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mixnorm.errors import InvalidParameterError
 from mixnorm.model import (ZERO_GROUP_NORM, GroupPartition, GroupedVector,
                            ProblemInstance, group_norms)
 from mixnorm import prox as prox_module
+from mixnorm import screening as screening_module
 from mixnorm import solver as solver_module
 from mixnorm.path import (PathSpec, geometric_ratios, linear_ratios,
                           recovery_experiment, run_path, stacked_instance)
@@ -70,18 +73,26 @@ def test_run_path_screening_matches_plain(rng):
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0])
-def test_unscreened_path_is_a_warm_started_solve_loop(q, rng):
+def test_unscreened_path_is_a_secant_started_solve_loop(q, rng):
     # screening off is the driver with nothing discarded: the same solves,
-    # bit for bit, as a plain warm-started loop, the ratio-1.0 point included
+    # bit for bit, as a plain loop that starts each solve at the secant
+    # through the last two solutions (at the previous one for the first
+    # two), the ratio-1.0 point included
     inst = random_instance(rng, 16, 24, q).with_lam(0.0)
     ratios = (1.0, 0.8, 0.6, 0.4)
     config = SolverConfig(tol=1e-9)
     out = run_path(inst, PathSpec(ratios=ratios, solver=config))
     lmax = lambda_max(inst).value
-    x = GroupedVector(np.zeros(inst.p), inst.partition)
+    points = [(lmax, np.zeros(inst.p))]
     for i, r in enumerate(ratios):
-        res = solve(inst.with_lam(r * lmax), config, x0=x)
-        x = res.solution
+        lam1, x1 = points[-1]
+        x0 = x1
+        if i >= 2:
+            lam2, x2 = points[-2]
+            x0 = x1 + (r * lmax - lam1) / (lam1 - lam2) * (x1 - x2)
+        res = solve(inst.with_lam(r * lmax), config, x0=GroupedVector(x0, inst.partition))
+        assert res.converged
+        points.append((min(r * lmax, lmax), res.solution.values))
         assert out.iterations[i] == res.iterations
         assert out.backtracks[i] == res.backtracks
         assert out.restarts[i] == res.restarts
@@ -129,6 +140,66 @@ def test_general_q_path_sweep_budget(monkeypatch):
     assert reported == len(sweeps)
     assert reported_steps == sum(steps) > 0
     assert len(sweeps) <= 0.35 * len(calls)
+
+
+def _recorded_starts(monkeypatch, inst, ratios, config, unconverged=()):
+    """Run the unscreened path and return it with the x0 of each solve;
+    the solves numbered in ``unconverged`` report that they did not converge."""
+    starts = []
+
+    def recording_solve(sub, cfg, x0=None):
+        starts.append(x0.values.copy())
+        res = solve(sub, cfg, x0=x0)
+        return replace(res, converged=False) if len(starts) - 1 in unconverged else res
+
+    monkeypatch.setattr(screening_module, "solve", recording_solve)
+    out = run_path(inst, PathSpec(ratios=ratios, solver=config))
+    assert len(starts) == len(ratios)
+    return out, starts
+
+
+def test_path_start_falls_back_to_the_previous_solution(monkeypatch, rng):
+    inst = random_instance(rng, 16, 24, 2.0).with_lam(0.0)
+    # the first two solves start at the previous solution
+    out, starts = _recorded_starts(monkeypatch, inst, (0.8, 0.6), SolverConfig(tol=1e-10))
+    assert not np.any(starts[0]) and np.array_equal(starts[1], out.solutions[0])
+    # after an unconverged solve the secant is not trusted
+    out, starts = _recorded_starts(monkeypatch, inst, (0.9, 0.8, 0.7, 0.6),
+                                   SolverConfig(max_iters=1))
+    assert not out.converged.any()
+    assert not np.any(starts[0])
+    for i in range(1, 4):
+        assert np.array_equal(starts[i], out.solutions[i - 1])
+    # nor when either of its two points comes from one
+    out, starts = _recorded_starts(monkeypatch, inst, (0.9, 0.8, 0.7, 0.6, 0.5),
+                                   SolverConfig(tol=1e-10), unconverged=(2,))
+    assert out.converged.tolist() == [True, True, False, True, True]
+    for i in (3, 4):
+        assert np.array_equal(starts[i], out.solutions[i - 1])
+    # at a repeated lambda the secant has no slope
+    out, starts = _recorded_starts(monkeypatch, inst, (0.6, 0.6, 0.4),
+                                   SolverConfig(tol=1e-10))
+    assert out.converged.all()
+    assert np.array_equal(starts[2], out.solutions[1])
+    # two steps above lambda_max both store (lambda_max, 0), a repeated lambda
+    out, starts = _recorded_starts(monkeypatch, inst, (1.5, 1.2, 0.5, 0.4),
+                                   SolverConfig(tol=1e-10))
+    assert out.converged.all()
+    assert not np.any(out.solutions[1]) and not np.any(starts[2])
+    # after them, (lambda_max, 0) is one of the two secant points
+    lmax = out.lam_max
+    slope = (out.lambdas[3] - out.lambdas[2]) / (out.lambdas[2] - lmax)
+    assert np.array_equal(starts[3], out.solutions[2] + slope * out.solutions[2])
+
+
+def test_screened_path_iteration_budget():
+    # the criterion-08 path: 2,570 iterations starting each solve at the
+    # secant through the last two solutions, 4,692 from the previous one
+    inst = gen_screening_instance(SynthSpec.screening_default(seed=808), q=2.0)
+    out = run_path(inst, PathSpec(ratios=tuple(linear_ratios()), screening=True,
+                                  solver=SolverConfig(tol=1e-13), store_solutions=False))
+    assert out.converged.all()
+    assert out.iterations.sum() <= 3000
 
 
 def test_path_steps_report_convergence(rng):
