@@ -4,6 +4,13 @@ Subcommands: prox, solve, screen, path, gen, oracle.  Exit codes: 0 on
 success, 1 on usage errors, 2 on numerical or validation errors.  Every
 subcommand takes ``--config FILE`` (key=value lines injected as defaults)
 and ``--json`` (machine-readable summary on stdout).
+
+Every output file is opened by ``csvio.open_output``: an existing plain
+file is replaced by a new file, while a symlink or a file with other hard
+links is written through in place.  A failure to make ``--out-dir`` or to
+open or write an output exits 2.  No command deletes files it did not
+write, so rerunning ``path --save-solutions`` with fewer points leaves the
+earlier run's higher-numbered ``solution_NNN.csv`` files in place.
 """
 
 from __future__ import annotations
@@ -75,24 +82,38 @@ def _attach_corr_value(argv: list[str]) -> list[str]:
     return out
 
 
-def _with_file(spec: str, mode: str, use):
-    """use(f) on the file a flag names; '-' names stdin (mode 'r') or stdout ('w')."""
+def _read_text(spec: str) -> str:
+    """The text of the file a flag names; '-' names stdin."""
     if spec == "-":
-        return use(sys.stdin if mode == "r" else sys.stdout)
+        return sys.stdin.read()
     try:
-        f = open(spec, mode)
+        with open(spec) as f:
+            return f.read()
     except OSError as exc:
         raise InputError(f"could not open {spec}: {exc}") from exc
-    with f:
-        return use(f)
 
 
-def _read_text(spec: str) -> str:
-    return _with_file(spec, "r", lambda f: f.read())
+def _write_output(spec, write) -> None:
+    """write(f) on the file a flag names; '-' names stdout."""
+    if spec == "-":
+        write(sys.stdout)
+        return
+    with csvio.open_output(spec) as f:
+        write(f)
 
 
-def _write_text(spec: str, text: str) -> None:
-    _with_file(spec, "w", lambda f: f.write(text + "\n"))
+def _write_text(spec, text: str) -> None:
+    _write_output(spec, lambda f: f.write(text + "\n"))
+
+
+def _out_dir(spec: str) -> Path:
+    """The --out-dir directory, made with its parents if missing."""
+    outdir = Path(spec)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"could not make output directory {spec}: {exc}") from exc
+    return outdir
 
 
 def _read_key_values(path: str, what: str) -> list[tuple[str, str]]:
@@ -172,9 +193,9 @@ def _cmd_solve(ns) -> int:
     config = SolverConfig(L0=ns.l0, max_iters=ns.max_iters, tol=ns.tol)
     res = solve(inst, config)
     if ns.out:
-        _with_file(ns.out, "w", lambda f: csvio.write_vector(f, res.solution.values))
+        _write_output(ns.out, lambda f: csvio.write_vector(f, res.solution.values))
     if ns.history:
-        _with_file(ns.history, "w", lambda f: csvio.write_vector(f, res.f_history))
+        _write_output(ns.history, lambda f: csvio.write_vector(f, res.f_history))
     norms = group_norms(res.solution.values, inst.partition, inst.q)
     nnz = int(np.count_nonzero(norms > ZERO_GROUP_NORM))
     _emit(ns, {
@@ -251,8 +272,7 @@ def _cmd_path(ns) -> int:
     result = run_path(inst, spec)
     wall = time.perf_counter() - t0
 
-    outdir = Path(ns.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(ns.out_dir)
     lines = ["lambda,ratio,objective,iterations,groups_kept,rejection_ratio,"
              "solve_time,screen_time"]
     for st, ratio in zip(result.steps, result.ratios):
@@ -260,7 +280,7 @@ def _cmd_path(ns) -> int:
             f"{st.lam:.17g},{ratio:.17g},{st.objective:.17g},{st.iterations},"
             f"{st.groups_kept},{st.rejection_ratio:.6f},"
             f"{st.solve_time:.6g},{st.screen_time:.6g}")
-    (outdir / "stats.csv").write_text("\n".join(lines) + "\n")
+    _write_text(outdir / "stats.csv", "\n".join(lines))
     summary = (
         f"points {len(result.steps)}\n"
         f"lambda_max {result.lam_max:.17g}\n"
@@ -269,7 +289,7 @@ def _cmd_path(ns) -> int:
         f"total_screen_time {result.screen_times.sum():.6g}\n"
         f"wall_time {wall:.6g}"
     )
-    (outdir / "summary.txt").write_text(summary + "\n")
+    _write_text(outdir / "summary.txt", summary)
     if ns.save_solutions:
         for i, sol in enumerate(result.solutions):
             csvio.write_vector(outdir / f"solution_{i:03d}.csv", sol)
@@ -285,8 +305,7 @@ def _cmd_gen(ns) -> int:
                       entry_dist=ns.dist, num_groups=ns.groups_n, corr_range=ns.corr,
                       seed=ns.seed)
     inst, X_true = _synth_instance(ns.preset, sspec, 2.0)
-    outdir = Path(ns.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(ns.out_dir)
     if X_true is None:
         csvio.write_matrix(outdir / "B.csv", inst.B)
     else:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,86 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     if argv[0] == "gen":
         # a rejected spec leaves no output directory behind
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["gen_out_dir_is_file", "path_out_dir_is_file",
+                                  "gen_matrix_is_dir", "solve_out_write_fails"])
+def test_output_faults_exit_2(case, tmp_path, rng, capsys):
+    if case == "solve_out_write_fails" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to fail a write")
+    make_dataset(tmp_path, rng)
+    blocker = tmp_path / "F"
+    blocker.write_text("a file\n")
+    (tmp_path / "G" / "B.csv").mkdir(parents=True)
+    gen = ["gen", "--preset", "screening", "--m", "10", "--d", "12", "--groups-n", "3"]
+    argv = {
+        "gen_out_dir_is_file": [*gen, "--out-dir", str(blocker)],
+        "path_out_dir_is_file": ["path", *data_args(tmp_path), "--grid", "custom:0.5",
+                                 "--out-dir", str(blocker)],
+        "gen_matrix_is_dir": [*gen, "--out-dir", str(tmp_path / "G")],
+        # a device is written through, and its write fails with ENOSPC
+        "solve_out_write_fails": ["solve", *data_args(tmp_path), "--ratio", "0.5",
+                                  "--out", "/dev/full"],
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: could not")
+    assert blocker.read_text() == "a file\n"
+
+
+def test_rerun_over_longer_files_writes_identical_outputs(tmp_path, rng, monkeypatch):
+    # the step and wall times are the only outputs that vary between runs
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    make_dataset(tmp_path, rng)
+
+    def run_all(out: Path) -> dict:
+        out.mkdir(exist_ok=True)
+        for argv in (
+                ["solve", *data_args(tmp_path), "--ratio", "0.5", "--out", str(out / "W.csv"),
+                 "--history", str(out / "history.csv")],
+                ["screen", *data_args(tmp_path), "--ratios", "1.0:0.25:4",
+                 "--report", str(out / "report.csv")],
+                ["gen", "--preset", "joint-sparse", "--m", "12", "--d", "15", "--k", "3",
+                 "--dtilde", "4", "--out-dir", str(out / "gen")],
+                ["path", *data_args(tmp_path), "--grid", "custom:0.9,0.6,0.3",
+                 "--screening", "on", "--save-solutions", "--out-dir", str(out / "path")]):
+            assert main(argv) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    fresh = run_all(tmp_path / "fresh")
+    assert len(fresh) == 12
+    stale = tmp_path / "stale"
+    for name, data in fresh.items():
+        (stale / name).parent.mkdir(parents=True, exist_ok=True)
+        (stale / name).write_bytes(b"9,9\n" * (len(data) // 4 + 100))
+    assert run_all(stale) == fresh
+
+
+def test_out_symlink_and_hard_link_are_written_through(tmp_path, rng):
+    make_dataset(tmp_path, rng)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n" * 1000)
+    link.symlink_to(target)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("stale\n" * 1000)
+    os.link(first, second)
+    fresh = tmp_path / "fresh.csv"
+    for out in (fresh, link, first):
+        assert main(["solve", *data_args(tmp_path), "--ratio", "0.5", "--out", str(out)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+    assert os.stat(first).st_ino == os.stat(second).st_ino
+    assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_unwritable_out_still_fails(tmp_path, rng, capsys):
+    make_dataset(tmp_path, rng)
+    out = tmp_path / "W.csv"
+    out.write_text("kept\n")
+    out.chmod(0o444)
+    assert main(["solve", *data_args(tmp_path), "--ratio", "0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: could not open")
+    assert out.read_text() == "kept\n"
 
 
 def src_env() -> dict:
