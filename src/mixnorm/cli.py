@@ -144,6 +144,12 @@ def _load_instance(ns, q: float, lam: float = 0.0) -> ProblemInstance:
     return ProblemInstance(B, Y, part, q, lam)
 
 
+def _solver_config(ns) -> SolverConfig:
+    """A SolverConfig from the --tol and --max-iters the user gave; the rest keep its defaults."""
+    given = {key: getattr(ns, key, None) for key in ("tol", "max_iters")}
+    return SolverConfig(**{key: val for key, val in given.items() if val is not None})
+
+
 def _resolve_lambda(inst: ProblemInstance, ns) -> tuple[float, float]:
     lmax = lambda_max(inst).value
     if ns.lam is not None:
@@ -190,8 +196,7 @@ def _cmd_solve(ns) -> int:
     inst = _load_instance(ns, ns.q)
     lam, lmax = _resolve_lambda(inst, ns)
     inst = inst.with_lam(lam)
-    config = SolverConfig(L0=ns.l0, max_iters=ns.max_iters, tol=ns.tol)
-    res = solve(inst, config)
+    res = solve(inst, _solver_config(ns))
     if ns.out:
         _write_output(ns.out, lambda f: csvio.write_vector(f, res.solution.values))
     if ns.history:
@@ -212,7 +217,7 @@ def _cmd_solve(ns) -> int:
 def _cmd_screen(ns) -> int:
     inst = _load_instance(ns, ns.q)
     seq = run_path(inst, PathSpec(ratios=tuple(_parse_ratios(ns.ratios)), screening=True,
-                                  solver=SolverConfig(tol=ns.tol)))
+                                  solver=_solver_config(ns)))
     lines = ["lambda,rejection_ratio,groups_kept,screen_time,solve_time"]
     for st in seq.steps:
         lines.append(f"{st.lam:.17g},{st.rejection_ratio:.6f},{st.groups_kept},"
@@ -266,8 +271,7 @@ def _cmd_path(ns) -> int:
         raise _UsageError(f"unknown grid {ns.grid!r}")
 
     spec = PathSpec(ratios=tuple(ratios), screening=(ns.screening == "on"),
-                    solver=SolverConfig(tol=ns.tol),
-                    store_solutions=ns.save_solutions)
+                    solver=_solver_config(ns))
     t0 = time.perf_counter()
     result = run_path(inst, spec)
     wall = time.perf_counter() - t0
@@ -366,9 +370,8 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=float)
     group.add_argument("--ratio", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--l0", type=float, default=None)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--out", help="solution CSV file or - for stdout")
     p.add_argument("--history", help="objective history CSV file or - for stdout")
     _add_common(p)
@@ -379,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--ratios", required=True,
                    help="'r1,r2,...' or 'start:stop:count'")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float)
     p.add_argument("--report", default="-", help="report CSV file or - for stdout")
     _add_common(p)
     p.set_defaults(func=_cmd_screen)
@@ -391,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", default="linear91",
                    help="linear91, geo09, or custom:r1,r2,...")
     p.add_argument("--screening", choices=("on", "off"), default="off")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--save-solutions", action="store_true")
     _add_common(p)

@@ -26,14 +26,14 @@ from .solver import SolverConfig
 from .synth import SynthSpec, gen_joint_sparse
 
 
-def linear_ratios(n: int = 91, lo: float = 0.1, hi: float = 1.0) -> np.ndarray:
-    """n equally spaced ratios from hi down to lo (inclusive)."""
-    return np.linspace(hi, lo, n)
+def linear_ratios(n: int = 91) -> np.ndarray:
+    """n equally spaced ratios from 1.0 down to 0.1 (inclusive)."""
+    return np.linspace(1.0, 0.1, n)
 
 
-def geometric_ratios(n: int = 100, base: float = 0.9) -> np.ndarray:
-    """base^0, base^1, ..., base^(n-1)."""
-    return np.power(base, np.arange(n, dtype=np.float64))
+def geometric_ratios(n: int = 100) -> np.ndarray:
+    """0.9^0, 0.9^1, ..., 0.9^(n-1)."""
+    return np.power(0.9, np.arange(n, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,11 @@ class PathSpec:
     ratios: tuple[float, ...]
     screening: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
-    store_solutions: bool = True
 
 
 def run_path(inst: ProblemInstance, spec: PathSpec) -> PathResult:
     """Solve along spec.ratios * lam_max; screening per spec.screening."""
-    result = screen_sequential(inst, spec.ratios, spec.solver, screening=spec.screening)
-    result.store_solutions = spec.store_solutions
-    return result
+    return screen_sequential(inst, spec.ratios, spec.solver, screening=spec.screening)
 
 
 @dataclass

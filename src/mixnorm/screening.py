@@ -241,7 +241,6 @@ class PathResult:
     ratios: np.ndarray
     screening: bool
     steps: list[PathStep] = field(default_factory=list)
-    store_solutions: bool = True
 
     lambdas = _per_step("lam", "Penalty of each step.")
     objectives = _per_step("objective", "Final objective of each step.")
@@ -259,9 +258,9 @@ class PathResult:
     screen_times = _per_step("screen_time", "Seconds in the screening test.")
 
     @property
-    def solutions(self) -> list[np.ndarray] | None:
-        """Full-length solution of each step, or None unless stored."""
-        return [st.solution for st in self.steps] if self.store_solutions else None
+    def solutions(self) -> list[np.ndarray]:
+        """Full-length solution of each step."""
+        return [st.solution for st in self.steps]
 
     @property
     def unconverged_steps(self) -> int:

@@ -8,9 +8,9 @@ Iterates
 doubling L until the quadratic model at S_i dominates the objective at the
 candidate, with the extrapolation weights alpha_{-1} = 0, alpha_0 = 1,
 alpha_{i+1} = (1 + sqrt(1 + 4 alpha_i^2)) / 2.  The first search starts at
-L0 and every later one at 0.9 times the last accepted L, so L can fall
-back toward the local curvature (Scheinberg, Goldfarb & Bai, 2014) instead
-of keeping every overshoot of a doubling.  After each step the
+``default_l0`` and every later one at 0.9 times the last accepted L, so L
+can fall back toward the local curvature (Scheinberg, Goldfarb & Bai, 2014)
+instead of keeping every overshoot of a doubling.  After each step the
 gradient-mapping restart test <S_i - X_{i+1}, X_{i+1} - X_i> > 0
 (O'Donoghue & Candes, 2015) drops the momentum: the weights go back to
 alpha = (0, 1) and the previous iterate to X_{i+1}, so the next
@@ -38,25 +38,18 @@ from .prox import _prox_concat
 
 _L_CAP = 1e30
 # each search starts from this fraction of the last accepted L, so L can
-# fall back toward the local curvature after a doubling or a high L0
+# fall back toward the local curvature after a doubling or a high start
 _L_SHRINK = 0.9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`solve`.
+    """Knobs for :func:`solve`."""
 
-    ``L0 = None`` picks max(1e-3, ||B^T Y||_inf / ||Y||_inf); explicit
-    values must be positive.
-    """
-
-    L0: float | None = None
     max_iters: int = 10000
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.L0 is not None and not (self.L0 > 0 and math.isfinite(self.L0)):
-            raise InvalidParameterError(f"L0 must be positive, got {self.L0!r}")
         if self.max_iters < 1:
             raise InvalidParameterError("max_iters must be at least 1")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -89,6 +82,7 @@ class SolveResult:
 
 
 def default_l0(inst: ProblemInstance) -> float:
+    """The first search's L: max(1e-3, ||B^T Y||_inf / ||Y||_inf)."""
     y_inf = float(np.max(np.abs(inst.Y))) if inst.Y.size else 0.0
     if y_inf == 0.0:
         return 1e-3
@@ -152,7 +146,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None,
         raise DivergenceError("objective is non-finite at the starting point")
     history = [f_cur]
 
-    L_try = config.L0 if config.L0 is not None else default_l0(inst)
+    L_try = default_l0(inst)
     alpha_prev, alpha_cur = 0.0, 1.0
     converged = False
     stall = restarts = backtracks = prox_sweeps = prox_joint_steps = 0

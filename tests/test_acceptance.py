@@ -308,12 +308,10 @@ def test_criterion_08_path_equivalence_and_speed():
     config = SolverConfig(tol=1e-13)
 
     t0 = time.perf_counter()
-    off = run_path(inst, PathSpec(ratios=ratios, screening=False, solver=config,
-                                  store_solutions=False))
+    off = run_path(inst, PathSpec(ratios=ratios, screening=False, solver=config))
     t_off = time.perf_counter() - t0
     t0 = time.perf_counter()
-    on = run_path(inst, PathSpec(ratios=ratios, screening=True, solver=config,
-                                 store_solutions=False))
+    on = run_path(inst, PathSpec(ratios=ratios, screening=True, solver=config))
     t_on = time.perf_counter() - t0
 
     rel = np.abs(on.objectives - off.objectives) / np.maximum(1.0, np.abs(off.objectives))

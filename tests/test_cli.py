@@ -419,6 +419,9 @@ def test_exit_codes(tmp_path, capsys):
     assert "error" in err
     assert main(["--help"]) == 0
     assert main(["prox", "--help"]) == 0
+    # the step size is not a setting: --l0 is an unknown flag
+    assert main(["solve", "--matrix", "B.csv", "--response", "Y.csv", "--groups", "g.txt",
+                 "--ratio", "0.5", "--l0", "1"]) == 1
 
 
 @pytest.mark.parametrize("case, want", [

@@ -197,7 +197,7 @@ def test_screened_path_iteration_budget():
     # secant through the last two solutions, 4,692 from the previous one
     inst = gen_screening_instance(SynthSpec.screening_default(seed=808), q=2.0)
     out = run_path(inst, PathSpec(ratios=tuple(linear_ratios()), screening=True,
-                                  solver=SolverConfig(tol=1e-13), store_solutions=False))
+                                  solver=SolverConfig(tol=1e-13)))
     assert out.converged.all()
     assert out.iterations.sum() <= 3000
 
@@ -245,12 +245,6 @@ def test_step_after_unconverged_solve_discards_nothing(rng):
                                    solver=SolverConfig(tol=1e-12)))
     assert done.converged.all()
     assert np.all(done.groups_kept[2:] < s)
-
-
-def test_run_path_no_solutions_stored(rng):
-    inst = random_instance(rng, 12, 16, 2.0).with_lam(0.0)
-    out = run_path(inst, PathSpec(ratios=(0.9, 0.5), store_solutions=False))
-    assert out.solutions is None
 
 
 def test_run_path_rejects_zero_response():

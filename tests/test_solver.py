@@ -23,8 +23,6 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(InvalidParameterError):
         SolverConfig(tol=-1.0)
-    with pytest.raises(InvalidParameterError):
-        SolverConfig(L0=0.0)
 
 
 def test_default_l0_positive(rng):
@@ -144,17 +142,20 @@ def test_restart_and_backtrack_counters(rng, monkeypatch):
     assert len(calls) == res.iterations + res.backtracks
     calls.clear()
     small = small_instance(rng)
-    res = solve(small, SolverConfig(L0=1e-3, tol=1e-10))
+    # a start far below the curvature, so the first search has to double
+    monkeypatch.setattr(solver_module, "default_l0", lambda _: 1e-3)
+    res = solve(small, SolverConfig(tol=1e-10))
     assert res.backtracks > 0
     assert len(calls) == res.iterations + res.backtracks
 
 
-def test_step_size_falls_from_a_high_start(rng):
+def test_step_size_falls_from_a_high_start(rng, monkeypatch):
     # each search starts below the last accepted L, so a start 1000 times
     # the Lipschitz constant is walked down to within the doubling's factor
     inst = small_instance(rng)
     sigma = np.linalg.norm(inst.B, 2) ** 2
-    res = solve(inst, SolverConfig(L0=1e3 * sigma, tol=1e-10))
+    monkeypatch.setattr(solver_module, "default_l0", lambda _: 1e3 * sigma)
+    res = solve(inst, SolverConfig(tol=1e-10))
     assert res.converged
     assert res.L_final <= 2 * sigma
 
