@@ -84,13 +84,15 @@ def _attach_corr_value(argv: list[str]) -> list[str]:
 
 def _read_text(spec: str) -> str:
     """The text of the file a flag names; '-' names stdin."""
-    if spec == "-":
-        return sys.stdin.read()
     try:
+        if spec == "-":
+            return sys.stdin.read()
         with open(spec) as f:
             return f.read()
     except OSError as exc:
         raise InputError(f"could not open {spec}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"could not read {spec} as text: {exc}") from exc
 
 
 def _write_output(spec, write) -> None:

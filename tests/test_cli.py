@@ -446,11 +446,16 @@ def test_exit_codes(tmp_path, capsys):
     ("gen_sigma_nan", 2),
     ("gen_sigma_inf", 2),
     ("gen_d_tilde", 2),
+    ("prox_in_not_utf8", 2),
+    ("synthetic_not_utf8", 2),
+    ("config_not_utf8", 2),
 ])
 def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
     spec = tmp_path / "synth.txt"
     spec.write_text("preset=screening\nm=abc\n")
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe\x00bad")
     vec, vec_nan = tmp_path / "v.txt", tmp_path / "v_nan.txt"
     vec.write_text("1, 3")
     vec_nan.write_text("1, nan")
@@ -490,6 +495,10 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
                           "--out-dir", str(tmp_path / "out")],
         "gen_d_tilde": ["gen", "--preset", "joint-sparse", "--d", "5",
                         "--out-dir", str(tmp_path / "out")],
+        "prox_in_not_utf8": ["prox", "--q", "2", "--lambda", "1", "--in", str(binary)],
+        "synthetic_not_utf8": ["path", "--synthetic", str(binary),
+                               "--out-dir", str(tmp_path / "out")],
+        "config_not_utf8": ["prox", "--config", str(binary)],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err
