@@ -48,6 +48,8 @@ class SynthSpec:
         lo, hi = self.corr_range
         if not (-1.0 < lo <= hi < 1.0):
             raise InvalidParameterError("corr_range must sit strictly inside (-1, 1)")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed!r}")
 
     @classmethod
     def screening_default(cls, seed: int = 0) -> "SynthSpec":

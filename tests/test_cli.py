@@ -449,11 +449,15 @@ def test_exit_codes(tmp_path, capsys):
     ("prox_in_not_utf8", 2),
     ("synthetic_not_utf8", 2),
     ("config_not_utf8", 2),
+    ("gen_seed_negative", 2),
+    ("synthetic_seed_negative", 2),
 ])
 def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
     spec = tmp_path / "synth.txt"
     spec.write_text("preset=screening\nm=abc\n")
+    seed_spec = tmp_path / "seed.txt"
+    seed_spec.write_text("preset=screening\nm=10\nd=12\nnum_groups=3\nseed=-1\n")
     binary = tmp_path / "bin.txt"
     binary.write_bytes(b"\xff\xfe\x00bad")
     vec, vec_nan = tmp_path / "v.txt", tmp_path / "v_nan.txt"
@@ -499,6 +503,10 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
         "synthetic_not_utf8": ["path", "--synthetic", str(binary),
                                "--out-dir", str(tmp_path / "out")],
         "config_not_utf8": ["prox", "--config", str(binary)],
+        "gen_seed_negative": ["gen", "--preset", "screening", "--seed", "-1",
+                              "--out-dir", str(tmp_path / "out")],
+        "synthetic_seed_negative": ["path", "--synthetic", str(seed_spec),
+                                    "--out-dir", str(tmp_path / "out")],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err

@@ -62,6 +62,8 @@ def test_spec_validation():
         SynthSpec(corr_range=(0.5, -0.5))
     with pytest.raises(InvalidParameterError):
         SynthSpec(corr_range=(-1.5, 0.5))
+    with pytest.raises(InvalidParameterError):
+        SynthSpec(seed=-1)
 
 
 def test_equal_partition():
