@@ -25,7 +25,7 @@ import numpy as np
 
 from . import csvio
 from .errors import InputError, MixnormError
-from .model import ZERO_GROUP_NORM, ProblemInstance, group_norms
+from .model import ZERO_GROUP_NORM, ProblemInstance, group_norms, lq_norm
 from .path import (PathSpec, geometric_ratios, linear_ratios, run_path,
                    stacked_instance)
 from .prox import ProxParams, prox_group
@@ -190,7 +190,7 @@ def _cmd_prox(ns) -> int:
     x = prox_group(v, params)
     _write_text(ns.out, csvio.format_vector_line(x))
     _emit(ns, {"n": int(v.size), "q": ns.q, "lambda": ns.lam,
-               "norm_in": float(np.linalg.norm(v)), "norm_out": float(np.linalg.norm(x))})
+               "norm_in": lq_norm(v, 2.0), "norm_out": lq_norm(x, 2.0)})
     return 0
 
 

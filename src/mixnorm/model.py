@@ -27,6 +27,9 @@ from .errors import DimensionError, InputError, InvalidExponentError, InvalidPar
 
 # a group whose lq norm is at most this counts as zero
 ZERO_GROUP_NORM = 1e-6
+# a vector whose largest |entry| lies in this range has a sum of squares in
+# float range (below 2^60 entries), and no square that underflows matters to it
+SQUARE_LO, SQUARE_HI = 2.0 ** -480, 2.0 ** 480
 
 
 class QKind(Enum):
@@ -72,7 +75,8 @@ def lq_norm(v: np.ndarray, q: float) -> float:
     """lq norm of a 1-d vector for any q in [1, inf].
 
     The general-q branch rescales by the max entry before exponentiating so
-    large q does not overflow.
+    large q does not overflow; q = 2 takes it too once the max entry lies
+    outside [SQUARE_LO, SQUARE_HI].
     """
     kind = classify_q(q)
     a = np.abs(np.asarray(v, dtype=np.float64)).ravel()
@@ -80,11 +84,11 @@ def lq_norm(v: np.ndarray, q: float) -> float:
         return 0.0
     if kind is QKind.ONE:
         return float(a.sum())
-    if kind is QKind.TWO:
-        return float(np.sqrt(np.dot(a, a)))
-    if kind is QKind.INF:
-        return float(a.max())
     amax = float(a.max())
+    if kind is QKind.INF:
+        return amax
+    if kind is QKind.TWO and SQUARE_LO <= amax <= SQUARE_HI:
+        return float(np.sqrt(np.dot(a, a)))
     if amax == 0.0:
         return 0.0
     return float(amax * np.power(np.power(a / amax, q).sum(), 1.0 / q))

@@ -71,7 +71,8 @@ from .errors import (
     InvalidExponentError,
     InvalidParameterError,
 )
-from .model import GroupPartition, GroupedVector, QKind, classify_q, dual_exponent, group_norms
+from .model import (SQUARE_HI, SQUARE_LO, GroupPartition, GroupedVector, QKind, classify_q,
+                    dual_exponent, group_norms)
 
 # Relative slack on the zero test lam >= ||v||_qbar; errs toward returning 0.
 ZERO_SLACK = 1e-12
@@ -396,7 +397,23 @@ def prox_group(v, params: ProxParams) -> np.ndarray:
     whole-vector kernel.
     """
     v = _validate_group_input(v)
-    return _prox_concat(v, GroupPartition((v.size,)), params.lam, params.q)[0]
+    return _scaled_prox(v, GroupPartition((v.size,)), params.lam, params.q)
+
+
+def _scaled_prox(values: np.ndarray, partition: GroupPartition, lam: float,
+                 q: float) -> np.ndarray:
+    """``_prox_concat`` for the public entry points, at any scale of values.
+
+    When max|v| lies outside [SQUARE_LO, SQUARE_HI] the prox is taken by
+    homogeneity, prox_lam(v) = s * prox_{lam/s}(v / s), with s the power of
+    two at max|v|, so the q = 2 sums of squares neither overflow nor vanish.
+    Dividing by a power of two is exact.
+    """
+    amax = float(np.max(np.abs(values)))
+    if amax == 0.0 or SQUARE_LO <= amax <= SQUARE_HI:
+        return _prox_concat(values, partition, lam, q)[0]
+    s = float(np.ldexp(1.0, int(np.frexp(amax)[1]) - 1))
+    return s * _prox_concat(values / s, partition, lam / s, q)[0]
 
 
 def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,
@@ -469,4 +486,4 @@ def prox_all(V: GroupedVector, lam: float, q: float) -> GroupedVector:
         j = int(np.flatnonzero(bad)[0])
         g = int(np.searchsorted(V.partition.offsets, j, side="right") - 1)
         raise InputError(f"non-finite entry in group {g}")
-    return GroupedVector(_prox_concat(values, V.partition, float(lam), float(q))[0], V.partition)
+    return GroupedVector(_scaled_prox(values, V.partition, float(lam), float(q)), V.partition)

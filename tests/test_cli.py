@@ -90,6 +90,20 @@ def test_prox_roundtrip(tmp_path, capsys):
     assert np.allclose(csvio.parse_vector_text(out), [2.4, 3.2])
 
 
+def test_prox_json_at_the_top_of_float_range(tmp_path, capsys):
+    infile = tmp_path / "v.txt"
+    infile.write_text("1e308,1e308")
+    code = main(["prox", "--q", "2", "--lambda", "1e308", "--in", str(infile), "--json"])
+    out, summary = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    x = csvio.parse_vector_text(out)
+    assert np.allclose(x, 1e308 * (1 - 0.5 ** 0.5), rtol=1e-14)
+    # strict JSON: no NaN or Infinity
+    norms = json.loads(summary, parse_constant=pytest.fail)
+    assert norms["norm_in"] == pytest.approx(2 ** 0.5 * 1e308, rel=1e-15)
+    assert norms["norm_out"] == pytest.approx(np.sqrt(2) * x[0], rel=1e-15)
+
+
 def test_prox_inf_exponent_spelling(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("3, 1")

@@ -46,6 +46,9 @@ def test_lq_norm_large_entries_no_overflow():
     # max-rescaled form must match the analytic value instead
     assert np.isfinite(lq_norm(v, 8.0))
     assert lq_norm(v, 8.0) == pytest.approx(2e200 * (1 + 0.5 ** 8) ** 0.125, rel=1e-12)
+    # at q = 2 the squares of these entries overflow, and those of tiny ones vanish
+    for scale in (1e154, 1e200, 1e-170, 1e-300):
+        assert lq_norm(np.array([3.0, -4.0]) * scale, 2.0) == pytest.approx(5 * scale, rel=1e-15)
 
 
 def test_lq_norm_zero_vector():

@@ -590,3 +590,24 @@ def test_prox_properties(n, q, u, seed):
     fv = lam * lq_norm(v, q)
     assert fx <= fv + 1e-10
     assert np.linalg.norm(x) <= np.linalg.norm(v) + 1e-12
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("scale", [1e154, 1e300, 1e-170, 1e-300])
+def test_prox_at_extreme_scales(q, scale):
+    # prox is homogeneous, prox_{s lam}(s v) = s prox_lam(v): entries whose
+    # squares overflow or vanish give the scaled answer, not nan or zero
+    v, lam = np.array([3.0, -4.0, 0.5]), 1.0
+    want = prox_group(v, ProxParams(lam=lam, q=q))
+    got = prox_group(v * scale, ProxParams(lam=lam * scale, q=q))
+    np.testing.assert_allclose(got / scale, want, rtol=1e-12, atol=1e-15)
+    part = GroupPartition((3, 3))
+    both = prox_all(GroupedVector(np.concatenate([v, v]) * scale, part), lam * scale, q)
+    np.testing.assert_allclose(both.values / scale, np.concatenate([want, want]),
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_q2_prox_of_huge_entries_keeps_them():
+    # lam is negligible beside ||v||_2 = 5e154, whose square overflows
+    x = prox_group(np.array([3e154, 4e154]), ProxParams(lam=1.0, q=2.0))
+    assert np.array_equal(x, [3e154, 4e154])
