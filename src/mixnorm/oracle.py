@@ -35,6 +35,11 @@ from .model import (
 )
 
 
+# the most points the grid oracle's first pass may hold; every refinement
+# spans three steps at a tenth of a step, at most 31 points an axis
+_GRID_POINTS_CAP = 2_000_000
+
+
 def _grid_objective(points: np.ndarray, a: np.ndarray, lam: float, q: float) -> np.ndarray:
     d = points - a
     fit = 0.5 * np.sum(d * d, axis=1)
@@ -54,7 +59,8 @@ def prox_oracle_grid(v, lam: float, q: float, resolution: float = 0.25) -> np.nd
     ``resolution`` is the initial grid spacing; three refinement passes,
     each 10x finer around the incumbent, bring the final spacing to
     resolution/1000, and a local polish then tightens the incumbent.
-    Only n <= 4 is supported.
+    Only n <= 4 is supported, with at most ``_GRID_POINTS_CAP`` points in
+    the first pass.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     n = v.size
@@ -71,6 +77,11 @@ def prox_oracle_grid(v, lam: float, q: float, resolution: float = 0.25) -> np.nd
         return np.zeros_like(v)
 
     a = np.abs(v)
+    with np.errstate(over="ignore"):
+        points = np.prod(np.where(a > 0, np.maximum(2.0, np.ceil(a / resolution) + 1.0), 1.0))
+    if points > _GRID_POINTS_CAP:
+        raise OracleSizeError(f"grid oracle would search {points:.3g} points, above "
+                              f"{_GRID_POINTS_CAP:,}; use a coarser resolution")
     lo = np.zeros(n)
     hi = a.copy()
     spacing = np.full(n, float(resolution))

@@ -454,6 +454,7 @@ def test_exit_codes(tmp_path, capsys):
     ("grid_resolution_negative", 2),
     ("grid_input_nan", 2),
     ("grid_lambda_nan", 2),
+    ("grid_too_many_points", 2),
     ("refsolve_design_nan", 2),
     ("refsolve_tol_nan", 2),
     ("refsolve_max_iters_zero", 2),
@@ -474,8 +475,9 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     seed_spec.write_text("preset=screening\nm=10\nd=12\nnum_groups=3\nseed=-1\n")
     binary = tmp_path / "bin.txt"
     binary.write_bytes(b"\xff\xfe\x00bad")
-    vec, vec_nan = tmp_path / "v.txt", tmp_path / "v_nan.txt"
+    vec, vec_nan, vec4 = tmp_path / "v.txt", tmp_path / "v_nan.txt", tmp_path / "v4.txt"
     vec.write_text("1, 3")
+    vec4.write_text("3, 4, 5, 6")
     vec_nan.write_text("1, nan")
     B = csvio.read_matrix(tmp_path / "B.csv")
     B[0, 0] = np.nan
@@ -504,6 +506,8 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
                                      "--resolution", "-1"],
         "grid_input_nan": [*grid, "--lambda", "1", "--in", str(vec_nan)],
         "grid_lambda_nan": [*grid, "--lambda", "nan", "--in", str(vec)],
+        "grid_too_many_points": [*grid, "--lambda", "1", "--in", str(vec4),
+                                 "--resolution", "1e-9"],
         "refsolve_design_nan": [*refsolve, "--matrix", str(tmp_path / "B_nan.csv")],
         "refsolve_tol_nan": [*refsolve, "--tol", "nan"],
         "refsolve_max_iters_zero": [*refsolve, "--max-iters", "0"],

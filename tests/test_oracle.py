@@ -48,6 +48,15 @@ def test_grid_rejects_large_dimension():
         prox_oracle_grid(np.ones(5), 0.5, 2.0)
 
 
+def test_grid_rejects_a_grid_too_large_to_build():
+    # 3001 * 4001 * 5001 * 6001 = 3.6e14 points: a missing check fails fast
+    # in numpy's allocator instead of raising this
+    with pytest.raises(OracleSizeError, match="points"):
+        prox_oracle_grid(np.array([3.0, 4.0, 5.0, 6.0]), 1.0, 2.0, resolution=1e-3)
+    with pytest.raises(OracleSizeError):
+        prox_oracle_grid(np.array([3.0, 4.0]), 1.0, 2.0, resolution=1e-320)
+
+
 def test_grid_zero_answer():
     v = np.array([0.5, -0.25])
     lam = 2.0 * lq_norm(v, 2.0)
