@@ -54,6 +54,12 @@ def test_read_errors_are_input_errors(tmp_path):
     bad.write_text("3\n-1\n")
     with pytest.raises(InputError):
         csvio.read_group_sizes(bad)
+    text = tmp_path / "text.txt"
+    text.write_text("1\nabc\n")
+    for read in (csvio.read_vector, csvio.read_group_sizes):
+        for path in (tmp_path / "nope.csv", text):
+            with pytest.raises(InputError, match="could not read"):
+                read(path)
 
 
 def test_vector_text_helpers():
@@ -135,6 +141,21 @@ def test_solve_writes_solution_and_json(tmp_path, rng, capsys):
     assert info["prox_sweeps"] > 0 and info["prox_joint_steps"] > 0
 
 
+def test_solve_lambda_matches_ratio(tmp_path, rng, capsys):
+    # --lambda at ratio * lambda_max solves what --ratio does
+    make_dataset(tmp_path, rng)
+    by_ratio, by_lambda = tmp_path / "r.csv", tmp_path / "l.csv"
+    assert main(["solve", *data_args(tmp_path), "--ratio", "0.4", "--json",
+                 "--out", str(by_ratio)]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert want["lambda"] == 0.4 * want["lambda_max"]
+    assert main(["solve", *data_args(tmp_path), "--lambda", repr(want["lambda"]), "--json",
+                 "--out", str(by_lambda)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got == want
+    assert by_lambda.read_text() == by_ratio.read_text()
+
+
 def test_solve_lambda_ratio_exclusive(tmp_path, rng):
     make_dataset(tmp_path, rng)
     code = main(["solve", *data_args(tmp_path), "--lambda", "1", "--ratio", "0.5"])
@@ -165,6 +186,20 @@ def test_path_outputs(tmp_path, rng, capsys):
     assert len(stats) == 4
     assert (outdir / "summary.txt").exists()
     assert (outdir / "solution_002.csv").exists()
+
+
+@pytest.mark.parametrize("grid, ratios", [
+    ("linear91", np.linspace(1.0, 0.1, 91)),
+    ("geo09", 0.9 ** np.arange(100.0)),
+])
+def test_path_built_in_grids(grid, ratios, tmp_path, rng):
+    make_dataset(tmp_path, rng)
+    outdir = tmp_path / "run"
+    assert main(["path", *data_args(tmp_path), "--grid", grid, "--screening", "on",
+                 "--out-dir", str(outdir)]) == 0
+    header, *rows = (outdir / "stats.csv").read_text().strip().splitlines()
+    assert header.split(",")[1] == "ratio"
+    assert np.array_equal([float(row.split(",")[1]) for row in rows], ratios)
 
 
 def test_json_totals_match_step_reports(tmp_path, rng, capsys):
@@ -442,8 +477,10 @@ def test_exit_codes(tmp_path, capsys):
     ("screen_ratios", 1),
     ("screen_ratios_inf", 2),
     ("screen_ratios_nan", 2),
+    ("screen_ratios_range_parts", 1),
     ("path_grid", 1),
     ("synthetic_value", 2),
+    ("synthetic_key", 2),
     ("missing_config", 2),
     ("missing_config_attached", 2),
     ("abbreviated_config", 1),
@@ -471,8 +508,9 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     make_dataset(tmp_path, rng)
     spec = tmp_path / "synth.txt"
     spec.write_text("preset=screening\nm=abc\n")
-    seed_spec = tmp_path / "seed.txt"
+    seed_spec, key_spec = tmp_path / "seed.txt", tmp_path / "key.txt"
     seed_spec.write_text("preset=screening\nm=10\nd=12\nnum_groups=3\nseed=-1\n")
+    key_spec.write_text("preset=screening\nm=10\ncolour=red\n")
     binary = tmp_path / "bin.txt"
     binary.write_bytes(b"\xff\xfe\x00bad")
     vec, vec_nan, vec4 = tmp_path / "v.txt", tmp_path / "v_nan.txt", tmp_path / "v4.txt"
@@ -489,10 +527,13 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
         "screen_ratios": ["screen", *data_args(tmp_path), "--ratios", "abc"],
         "screen_ratios_inf": ["screen", *data_args(tmp_path), "--ratios", "inf,0.5"],
         "screen_ratios_nan": ["screen", *data_args(tmp_path), "--ratios", "nan,0.5"],
+        "screen_ratios_range_parts": ["screen", *data_args(tmp_path), "--ratios", "1:2"],
         "path_grid": ["path", *data_args(tmp_path), "--grid", "custom:0.5,x",
                       "--out-dir", str(tmp_path / "out")],
         "synthetic_value": ["path", "--synthetic", str(spec),
                             "--out-dir", str(tmp_path / "out")],
+        "synthetic_key": ["path", "--synthetic", str(key_spec),
+                          "--out-dir", str(tmp_path / "out")],
         "missing_config": ["prox", "--config", str(tmp_path / "none.cfg")],
         "missing_config_attached": ["prox", f"--config={tmp_path / 'none.cfg'}"],
         "abbreviated_config": ["prox", "--q", "2", "--lambda", "1", "--in",
@@ -529,6 +570,10 @@ def test_malformed_input_exit_codes(case, want, tmp_path, rng, capsys):
     assert main(argv) == want
     err = capsys.readouterr().err
     assert err.startswith("usage error" if want == 1 else "error")
+    if case == "screen_ratios_range_parts":
+        assert "start:stop:count" in err
+    if case == "synthetic_key":
+        assert "unknown synthetic spec keys: ['colour']" in err
     if case in ("screen_ratios_inf", "screen_ratios_nan"):
         # rejected by the ratio rule, not by a later step
         assert "ratio sequence" in err
