@@ -78,9 +78,9 @@ def prox_oracle_grid(v, lam: float, q: float, resolution: float = 0.25) -> np.nd
 
     a = np.abs(v)
     with np.errstate(over="ignore"):
-        points = np.prod(np.where(a > 0, np.maximum(2.0, np.ceil(a / resolution) + 1.0), 1.0))
-    if points > _GRID_POINTS_CAP:
-        raise OracleSizeError(f"grid oracle would search {points:.3g} points, above "
+        first_pass = np.prod(np.where(a > 0, np.maximum(2.0, np.ceil(a / resolution) + 1.0), 1.0))
+    if first_pass > _GRID_POINTS_CAP:
+        raise OracleSizeError(f"grid oracle would search {first_pass:.3g} points, above "
                               f"{_GRID_POINTS_CAP:,}; use a coarser resolution")
     lo = np.zeros(n)
     hi = a.copy()
