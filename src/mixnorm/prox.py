@@ -404,16 +404,26 @@ def _scaled_prox(values: np.ndarray, partition: GroupPartition, lam: float,
                  q: float) -> np.ndarray:
     """``_prox_concat`` for the public entry points, at any scale of values.
 
-    When max|v| lies outside [SQUARE_LO, SQUARE_HI] the prox is taken by
-    homogeneity, prox_lam(v) = s * prox_{lam/s}(v / s), with s the power of
-    two at max|v|, so the q = 2 sums of squares neither overflow nor vanish.
-    Dividing by a power of two is exact.
+    A group whose max|v_g| lies outside [SQUARE_LO, SQUARE_HI] is taken on
+    its own by homogeneity, prox_lam(v_g) = s * prox_{lam/s}(v_g / s), with
+    s the power of two at max|v_g|, so the q = 2 sums of squares neither
+    overflow nor vanish.  Dividing by a power of two is exact.
     """
-    amax = float(np.max(np.abs(values)))
-    if amax == 0.0 or SQUARE_LO <= amax <= SQUARE_HI:
+    gmax = np.maximum.reduceat(np.abs(values), partition.starts)
+    wild = (gmax > 0.0) & ((gmax < SQUARE_LO) | (gmax > SQUARE_HI))
+    if not wild.any():
         return _prox_concat(values, partition, lam, q)[0]
-    s = float(np.ldexp(1.0, int(np.frexp(amax)[1]) - 1))
-    return s * _prox_concat(values / s, partition, lam / s, q)[0]
+    sizes = partition.sizes_array
+    tame_c = ~np.repeat(wild, sizes)
+    out = np.zeros_like(values)
+    if tame_c.any():
+        tame = GroupPartition(tuple(int(n) for n in sizes[~wild]))
+        out[tame_c] = _prox_concat(values[tame_c], tame, lam, q)[0]
+    for g in np.flatnonzero(wild):
+        lo, hi = int(partition.offsets[g]), int(partition.offsets[g + 1])
+        s = float(np.ldexp(1.0, int(np.frexp(gmax[g])[1]) - 1))
+        out[lo:hi] = s * _prox_concat(values[lo:hi] / s, GroupPartition((hi - lo,)), lam / s, q)[0]
+    return out
 
 
 def _prox_concat(values: np.ndarray, partition: GroupPartition, lam: float,

@@ -607,6 +607,18 @@ def test_prox_at_extreme_scales(q, scale):
                                rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("tiny", [1e-100, 1e-300])
+def test_prox_all_scales_each_group_on_its_own(q, tiny):
+    # beside a group whose squares overflow, a tiny group still gets the
+    # answer it gets alone, and so does the huge one
+    g1, g2, lam = np.array([3e200, -4e200]), np.array([1.0, 2.0, -0.5]) * tiny, 0.1 * tiny
+    got = prox_all(GroupedVector(np.concatenate([g1, g2, g2]), GroupPartition((2, 3, 3))), lam, q)
+    alone = [prox_group(g, ProxParams(lam=lam, q=q)) for g in (g1, g2, g2)]
+    assert np.array_equal(got.values, np.concatenate(alone))
+    assert np.all(alone[1] != 0.0)
+
+
 def test_q2_prox_of_huge_entries_keeps_them():
     # lam is negligible beside ||v||_2 = 5e154, whose square overflows
     x = prox_group(np.array([3e154, 4e154]), ProxParams(lam=1.0, q=2.0))
